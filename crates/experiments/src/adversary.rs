@@ -21,8 +21,8 @@
 //!
 //! Both sub-runs stream every trace event through the PR 4 checker, so
 //! the new domain/steal/rejection laws hold in every cell, and both are
-//! replayable from an explicit plan (`suite --replay-adversary`) and
-//! shrinkable (`suite --shrink-adversary`).
+//! shrinkable (`suite --shrink adversary:SEED`) and replayable from an
+//! explicit plan (`suite --replay FILE`).
 
 use crate::common::{check_report, checked_collector, Mode, Scale};
 use hostsim::{DomainSchedule, HostSched, HostSpec, ScenarioBuilder, VmSpec};
@@ -160,7 +160,7 @@ enum VictimKind {
 
 /// Builds the attack schedule a cell at this horizon uses; `kind`
 /// restricts the plan to one archetype (`None` = all three, the combined
-/// plan `--shrink-adversary` and `--replay-adversary` operate on).
+/// plan `suite --shrink adversary:SEED` and `--replay` operate on).
 pub fn plan_for(kind: Option<AttackKind>, horizon_secs: u64, seed: u64) -> AttackPlan {
     let mut spec = AttackSpec::for_vm(ADV_VCPUS, horizon_secs * SEC);
     if let Some(k) = kind {
@@ -220,7 +220,7 @@ fn run_scenario(
         vsched::instance(g)
             .map(|vs| {
                 (
-                    vs.vcap.rejected_samples,
+                    vs.vcap.suspicion.rejected,
                     vs.resil
                         .as_ref()
                         .map(|r| r.episodes + u64::from(r.degraded()))
@@ -280,7 +280,7 @@ pub fn run_pollute(
 }
 
 /// Runs one full cell under an explicit combined plan (the shrinker and
-/// `suite --replay-adversary` drive arbitrary — typically subset — plans
+/// `suite --replay FILE` drive arbitrary — typically subset — plans
 /// through the very same scenario the seeded cells use). The serving
 /// victim keeps every probing and scheduling path live.
 pub fn run_attack(

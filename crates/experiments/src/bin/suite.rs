@@ -8,7 +8,7 @@
 //! cargo run --release -p experiments --bin suite -- [--jobs N] [--filter S]
 //!     [--scale smoke|quick|paper] [--seed N] [--retries N] [--deadline-ms N]
 //!     [--fleet-threads N] [--ckpt-dir PATH | --no-ckpt] [--resume] [--list]
-//!     [--shrink SEED | --replay FILE]
+//!     [--shrink KIND:SEED | --replay FILE]
 //! ```
 //!
 //! * Cells run under supervision: a panicking or over-deadline cell is
@@ -19,18 +19,18 @@
 //! * Finished jobs are checkpointed to `target/suite_ckpt/` (override with
 //!   `--ckpt-dir`, disable with `--no-ckpt`); `--resume` replays them
 //!   byte-for-byte and re-runs only the rest.
-//! * `--shrink SEED` delta-debugs the chaos `FaultPlan` that seed generates
-//!   down to a locally-minimal action subset failing the same checker law,
-//!   written to `target/chaos_repro_<seed>.json`; `--replay FILE` re-runs a
-//!   repro file and exits 0 iff the failure still reproduces.
-//!   `--shrink-fleet SEED` does the same for the fleet-chaos cell's
-//!   `FleetChaosPlan` (host crashes/drains/degradations), writing
-//!   `target/fleet_chaos_repro_<seed>.json`; `--replay-fleet FILE` re-runs
-//!   one. `--shrink-adversary SEED` shrinks the adversary cell's
-//!   `AttackPlan` (scheduler-gaming guest actions), writing
-//!   `target/adversary_repro_<seed>.json`; `--replay-adversary FILE`
-//!   re-runs one. `VSCHED_SHRINK_LAW=synthetic` swaps the real checkers
-//!   for the synthetic canary laws (tests/CI).
+//! * `--shrink KIND:SEED` delta-debugs the plan that SEED generates for
+//!   the KIND suite job — `chaos` (host `FaultPlan`), `fleet-chaos`
+//!   (`FleetChaosPlan` host failures) or `adversary` (`AttackPlan`) — down
+//!   to a locally-minimal event subset failing the same checker law, run
+//!   under SEED, and writes the repro file
+//!   `target/<KIND>_repro_<SEED>.json` (dashes as underscores): an
+//!   envelope `{"kind", "seed", "law", "plan"}`. `--replay FILE`
+//!   dispatches on the file's kind, re-runs the plan under its recorded
+//!   seed, and exits 0 iff the recorded law fails again (1 when it does
+//!   not, 2 on an unreadable or malformed file).
+//!   `VSCHED_SHRINK_LAW=synthetic` swaps the real checkers for the
+//!   synthetic canary laws (tests/CI).
 //! * `VSCHED_CANARY=1` appends the always-failing canary job (CI
 //!   supervision smoke).
 //! * `--list` prints every registered job id with its cell count and a
@@ -41,8 +41,8 @@
 //!   changes suite output — only wall clock.
 
 use experiments::runner::{registry, run_suite, SuiteOptions};
-use experiments::{chaos, checkpoint, shrink, Scale};
-use hostsim::FaultPlan;
+use experiments::shrink::{self, Oracle, ReproError};
+use experiments::{checkpoint, Scale};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -51,239 +51,75 @@ fn usage() -> ! {
         "usage: suite [--jobs N] [--filter SUBSTR[,SUBSTR...]] \
          [--scale smoke|quick|paper] [--seed N] [--retries N] [--deadline-ms N] \
          [--fleet-threads N] [--ckpt-dir PATH | --no-ckpt] [--resume] [--list] \
-         [--shrink SEED | --replay FILE | --shrink-fleet SEED | --replay-fleet FILE \
-         | --shrink-adversary SEED | --replay-adversary FILE]\n\
+         [--shrink KIND:SEED | --replay FILE]\n\
          \n\
          --fleet-threads N   host-stepping workers for fleet/fleet-replay \
          cells (default: available parallelism; output is byte-identical \
-         at any worker count)"
+         at any worker count)\n\
+         --shrink KIND:SEED  ddmin the seeded plan of KIND (chaos, \
+         fleet-chaos, adversary) into target/<KIND>_repro_<SEED>.json\n\
+         --replay FILE       re-run a repro file under its recorded seed; \
+         exit 0 iff its recorded law fails again"
     );
     std::process::exit(2);
 }
 
-/// Which oracle `--shrink`/`--replay` consult.
-fn use_synthetic_law() -> bool {
-    std::env::var("VSCHED_SHRINK_LAW").as_deref() == Ok("synthetic")
-}
-
-fn shrink_main(seed: u64, opts: &SuiteOptions) -> ! {
-    let horizon = opts.scale.secs(6, 20);
-    let (_, plan) = chaos::plan_for(horizon, seed);
-    eprintln!(
-        "# shrink: seed {seed} -> {} actions over {horizon}s horizon (law: {})",
-        plan.events.len(),
-        if use_synthetic_law() {
-            "synthetic"
-        } else {
-            "chaos checker"
-        },
-    );
-    let shrunk = if use_synthetic_law() {
-        shrink::shrink_plan(&plan, shrink::synthetic_law)
-    } else {
-        shrink::shrink_plan(&plan, |p| shrink::chaos_checker_law(p, seed))
+/// `--shrink KIND:SEED`: ddmin the kind's seeded plan to a 1-minimal
+/// subset failing the same law, under an oracle run with that seed, and
+/// write the repro file.
+fn shrink_main(arg: &str, scale: Scale) -> ! {
+    let Some((kind, seed)) = arg
+        .split_once(':')
+        .and_then(|(kind, seed)| Some((kind, seed.parse::<u64>().ok()?)))
+    else {
+        eprintln!(
+            "--shrink needs KIND:SEED with KIND one of {}",
+            shrink::KINDS.join(", ")
+        );
+        usage()
     };
-    match shrunk {
-        Ok(out) => {
-            let path = PathBuf::from(format!("target/chaos_repro_{seed}.json"));
-            if let Some(parent) = path.parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            if let Err(e) = checkpoint::atomic_write(&path, out.plan.to_json().as_bytes()) {
-                eprintln!("# shrink: cannot write {}: {e}", path.display());
-                std::process::exit(2);
-            }
-            eprintln!(
-                "# shrink: law '{}' holds at {} of {} actions ({} oracle runs); \
-                 repro written to {}",
-                out.law,
-                out.plan.events.len(),
-                out.original_actions,
-                out.oracle_runs,
-                path.display()
-            );
-            std::process::exit(0);
-        }
+    let oracle = Oracle::from_env();
+    eprintln!(
+        "# shrink: {kind} seed {seed}, {} scale, {oracle:?} law",
+        scale.label()
+    );
+    let out = match shrink::shrink_seed(kind, seed, scale, oracle) {
+        Ok(out) => out,
         Err(e) => {
             eprintln!("# shrink: {e}");
-            std::process::exit(1);
+            std::process::exit(if e == ReproError::PlanPasses { 1 } else { 2 });
         }
+    };
+    if let Some(parent) = out.path.parent() {
+        let _ = std::fs::create_dir_all(parent);
     }
-}
-
-fn shrink_fleet_main(seed: u64, opts: &SuiteOptions) -> ! {
-    let horizon = opts.scale.secs(4, 16);
-    let plan = experiments::fleet_chaos::plan_for_seed(seed, horizon);
+    if let Err(e) = checkpoint::atomic_write(&out.path, out.file.as_bytes()) {
+        eprintln!("# shrink: cannot write {}: {e}", out.path.display());
+        std::process::exit(2);
+    }
     eprintln!(
-        "# shrink-fleet: seed {seed} -> {} host faults over {horizon}s horizon (law: {})",
-        plan.events.len(),
-        if use_synthetic_law() {
-            "synthetic"
-        } else {
-            "fleet chaos checker"
-        },
+        "# shrink: {}; repro written to {}",
+        out.summary,
+        out.path.display()
     );
-    let shrunk = if use_synthetic_law() {
-        shrink::shrink_fleet_plan(&plan, shrink::fleet_synthetic_law)
-    } else {
-        shrink::shrink_fleet_plan(&plan, |p| shrink::fleet_chaos_checker_law(p, seed))
-    };
-    match shrunk {
-        Ok(out) => {
-            let path = PathBuf::from(format!("target/fleet_chaos_repro_{seed}.json"));
-            if let Some(parent) = path.parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            if let Err(e) = checkpoint::atomic_write(&path, out.plan.to_json().as_bytes()) {
-                eprintln!("# shrink-fleet: cannot write {}: {e}", path.display());
-                std::process::exit(2);
-            }
-            eprintln!(
-                "# shrink-fleet: law '{}' holds at {} of {} host faults ({} oracle runs); \
-                 repro written to {}",
-                out.law,
-                out.plan.events.len(),
-                out.original_events,
-                out.oracle_runs,
-                path.display()
-            );
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("# shrink-fleet: {e}");
-            std::process::exit(1);
-        }
-    }
+    std::process::exit(0);
 }
 
-fn replay_fleet_main(path: &str, opts: &SuiteOptions) -> ! {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("# replay-fleet: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let plan = fleet::FleetChaosPlan::from_json(&text).unwrap_or_else(|e| {
-        eprintln!("# replay-fleet: {path} is not a fleet chaos repro: {e}");
-        std::process::exit(2);
-    });
-    let law = if use_synthetic_law() {
-        shrink::fleet_synthetic_law(&plan)
-    } else {
-        shrink::fleet_chaos_checker_law(&plan, opts.seed)
-    };
-    match law {
-        Some(l) => {
-            eprintln!(
-                "# replay-fleet: reproduced law '{l}' with {} host fault(s) from {path}",
-                plan.events.len()
-            );
-            std::process::exit(0);
-        }
-        None => {
-            eprintln!("# replay-fleet: plan from {path} passes every law; no reproduction");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn shrink_adversary_main(seed: u64, opts: &SuiteOptions) -> ! {
-    let horizon = opts.scale.secs(8, 30);
-    let plan = experiments::adversary::plan_for(None, horizon, seed);
-    eprintln!(
-        "# shrink-adversary: seed {seed} -> {} attack actions over {horizon}s horizon (law: {})",
-        plan.events.len(),
-        if use_synthetic_law() {
-            "synthetic"
-        } else {
-            "adversary checker"
-        },
-    );
-    let shrunk = if use_synthetic_law() {
-        shrink::shrink_attack_plan(&plan, shrink::adversary_synthetic_law)
-    } else {
-        shrink::shrink_attack_plan(&plan, |p| shrink::adversary_checker_law(p, seed))
-    };
-    match shrunk {
-        Ok(out) => {
-            let path = PathBuf::from(format!("target/adversary_repro_{seed}.json"));
-            if let Some(parent) = path.parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            if let Err(e) = checkpoint::atomic_write(&path, out.plan.to_json().as_bytes()) {
-                eprintln!("# shrink-adversary: cannot write {}: {e}", path.display());
-                std::process::exit(2);
-            }
-            eprintln!(
-                "# shrink-adversary: law '{}' holds at {} of {} attack actions \
-                 ({} oracle runs); repro written to {}",
-                out.law,
-                out.plan.events.len(),
-                out.original_actions,
-                out.oracle_runs,
-                path.display()
-            );
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("# shrink-adversary: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn replay_adversary_main(path: &str, opts: &SuiteOptions) -> ! {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("# replay-adversary: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let plan = workloads::AttackPlan::from_json(&text).unwrap_or_else(|e| {
-        eprintln!("# replay-adversary: {path} is not an attack-plan repro: {e}");
-        std::process::exit(2);
-    });
-    let law = if use_synthetic_law() {
-        shrink::adversary_synthetic_law(&plan)
-    } else {
-        shrink::adversary_checker_law(&plan, opts.seed)
-    };
-    match law {
-        Some(l) => {
-            eprintln!(
-                "# replay-adversary: reproduced law '{l}' with {} attack action(s) from {path}",
-                plan.events.len()
-            );
-            std::process::exit(0);
-        }
-        None => {
-            eprintln!("# replay-adversary: plan from {path} passes every law; no reproduction");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn replay_main(path: &str, opts: &SuiteOptions) -> ! {
+/// `--replay FILE`: re-run a repro file under its recorded seed; exit 0
+/// iff its recorded law fails again.
+fn replay_main(path: &str) -> ! {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("# replay: cannot read {path}: {e}");
         std::process::exit(2);
     });
-    let plan = FaultPlan::from_json(&text).unwrap_or_else(|e| {
-        eprintln!("# replay: {path} is not a fault-plan repro: {e}");
-        std::process::exit(2);
-    });
-    let law = if use_synthetic_law() {
-        shrink::synthetic_law(&plan)
-    } else {
-        shrink::chaos_checker_law(&plan, opts.seed)
-    };
-    match law {
-        Some(l) => {
-            eprintln!(
-                "# replay: reproduced law '{l}' with {} action(s) from {path}",
-                plan.events.len()
-            );
-            std::process::exit(0);
+    match shrink::replay(&text, Oracle::from_env()) {
+        Ok(r) => {
+            eprintln!("# replay: {path}: {}", r.summary);
+            std::process::exit(if r.reproduced { 0 } else { 1 });
         }
-        None => {
-            eprintln!("# replay: plan from {path} passes every law; no reproduction");
-            std::process::exit(1);
+        Err(e) => {
+            eprintln!("# replay: {path}: {e}");
+            std::process::exit(2);
         }
     }
 }
@@ -299,12 +135,8 @@ fn main() {
     };
     let mut list = false;
     let mut no_ckpt = false;
-    let mut shrink_seed: Option<u64> = None;
+    let mut shrink_arg: Option<String> = None;
     let mut replay_file: Option<String> = None;
-    let mut shrink_fleet_seed: Option<u64> = None;
-    let mut replay_fleet_file: Option<String> = None;
-    let mut shrink_adversary_seed: Option<u64> = None;
-    let mut replay_adversary_file: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
@@ -341,23 +173,8 @@ fn main() {
             "--ckpt-dir" => opts.checkpoint = Some(PathBuf::from(value("--ckpt-dir"))),
             "--no-ckpt" => no_ckpt = true,
             "--resume" => opts.resume = true,
-            "--shrink" => {
-                shrink_seed = Some(value("--shrink").parse().unwrap_or_else(|_| usage()));
-            }
+            "--shrink" => shrink_arg = Some(value("--shrink")),
             "--replay" => replay_file = Some(value("--replay")),
-            "--shrink-fleet" => {
-                shrink_fleet_seed =
-                    Some(value("--shrink-fleet").parse().unwrap_or_else(|_| usage()));
-            }
-            "--replay-fleet" => replay_fleet_file = Some(value("--replay-fleet")),
-            "--shrink-adversary" => {
-                shrink_adversary_seed = Some(
-                    value("--shrink-adversary")
-                        .parse()
-                        .unwrap_or_else(|_| usage()),
-                );
-            }
-            "--replay-adversary" => replay_adversary_file = Some(value("--replay-adversary")),
             "--list" => list = true,
             "--help" | "-h" => usage(),
             other => {
@@ -381,23 +198,11 @@ fn main() {
         );
         return;
     }
-    if let Some(seed) = shrink_seed {
-        shrink_main(seed, &opts);
+    if let Some(arg) = shrink_arg {
+        shrink_main(&arg, opts.scale);
     }
     if let Some(path) = replay_file {
-        replay_main(&path, &opts);
-    }
-    if let Some(seed) = shrink_fleet_seed {
-        shrink_fleet_main(seed, &opts);
-    }
-    if let Some(path) = replay_fleet_file {
-        replay_fleet_main(&path, &opts);
-    }
-    if let Some(seed) = shrink_adversary_seed {
-        shrink_adversary_main(seed, &opts);
-    }
-    if let Some(path) = replay_adversary_file {
-        replay_adversary_main(&path, &opts);
+        replay_main(&path);
     }
 
     let res = match run_suite(&opts) {

@@ -72,20 +72,18 @@ pub struct ChaosOutcome {
 }
 
 /// Builds the fault schedule a chaos run at this scale uses.
-pub fn plan_for(horizon_secs: u64, seed: u64) -> (ChaosSpec, FaultPlan) {
+pub fn plan_for(horizon_secs: u64, seed: u64) -> FaultPlan {
     let spec = ChaosSpec::for_pinned_vm(0, NR_VCPUS, horizon_secs * SEC);
-    let plan = FaultPlan::generate(seed ^ 0xC0A5, &spec);
-    (spec, plan)
+    FaultPlan::generate(seed ^ 0xC0A5, &spec)
 }
 
 /// Runs one chaos cell: same host, same faults, one scheduler.
 pub fn run_mode(mode: ChaosMode, horizon_secs: u64, seed: u64) -> ChaosOutcome {
-    let (_, plan) = plan_for(horizon_secs, seed);
-    run_plan(mode, &plan, seed)
+    run_plan(mode, &plan_for(horizon_secs, seed), seed)
 }
 
-/// Runs one chaos cell under an explicit fault plan (the shrinker and
-/// `suite --replay` drive arbitrary — typically subset — plans through the
+/// Runs one chaos cell under an explicit fault plan (`suite --shrink
+/// chaos:SEED` and `suite --replay FILE` drive arbitrary — typically subset — plans through the
 /// very same scenario the seeded cell uses).
 pub fn run_plan(mode: ChaosMode, plan: &FaultPlan, seed: u64) -> ChaosOutcome {
     let (b, vm) =

@@ -92,8 +92,8 @@ pub fn plan_for(horizon_secs: u64) -> FleetChaosPlan {
 }
 
 /// The fault schedule an explicit seed generates at this horizon (the
-/// `suite --shrink-fleet` entry; the suite job itself pins its day with
-/// [`plan_for`]).
+/// `suite --shrink fleet-chaos:SEED` entry; the suite job itself pins its
+/// day with [`plan_for`]).
 pub fn plan_for_seed(seed: u64, horizon_secs: u64) -> FleetChaosPlan {
     let spec = FleetChaosSpec::for_fleet(HOSTS as u16, horizon_secs * 1_000_000_000);
     FleetChaosPlan::generate(seed, &spec)

@@ -165,12 +165,6 @@ impl FleetChaosSpec {
         self.ops = vec![op];
         self
     }
-
-    /// Overrides the mean inter-fault gap.
-    pub fn mean_gap(mut self, ns: u64) -> Self {
-        self.mean_gap_ns = ns;
-        self
-    }
 }
 
 /// One planned host fault.
@@ -269,11 +263,6 @@ impl FleetChaosPlan {
         }
     }
 
-    /// The plan truncated to its first `k` faults.
-    pub fn prefix(&self, k: usize) -> FleetChaosPlan {
-        self.with_events(self.events[..k.min(self.events.len())].to_vec())
-    }
-
     /// The crash/drain faults, in time order — what the cluster's run
     /// loop merges with the lifecycle schedule. Degrade windows are not
     /// loop events; they compile to per-host script actions instead.
@@ -345,8 +334,8 @@ impl FleetChaosPlan {
     }
 
     /// Serializes the plan — spec, seed, fault list — as JSON. This is
-    /// the fleet chaos repro format (`suite --shrink` writes it for
-    /// fleet laws); integers round-trip exactly.
+    /// the `plan` member of a fleet-chaos repro file (`suite --shrink
+    /// fleet-chaos:SEED` writes it); integers round-trip exactly.
     pub fn to_json(&self) -> String {
         let spec = &self.spec;
         let events = self
@@ -386,47 +375,29 @@ impl FleetChaosPlan {
     /// Parses a plan previously written by [`FleetChaosPlan::to_json`].
     pub fn from_json(text: &str) -> Result<FleetChaosPlan, String> {
         let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let need =
-            |v: Option<&Json>, what: &str| v.cloned().ok_or_else(|| format!("missing {what}"));
-        let u = |v: &Json, what: &str| v.as_u64().ok_or_else(|| format!("{what} not a u64"));
-        let op_of = |v: &Json| -> Result<HostOp, String> {
-            let name = v.as_str().ok_or("op not a string")?;
-            HostOp::from_name(name).ok_or_else(|| format!("unknown host op '{name}'"))
+        // Host ids are u16: a wider value is refused by name, never
+        // narrowed onto another host.
+        let u16_of = |v: &Json, key: &str, what: &str| -> Result<u16, String> {
+            let n = v.u64_field(key)?;
+            u16::try_from(n).map_err(|_| format!("{what} {n} does not fit in u16"))
         };
-
-        let sj = need(doc.get("spec"), "spec")?;
+        let op_of =
+            |name: &str| HostOp::from_name(name).ok_or_else(|| format!("unknown host op '{name}'"));
+        let sj = doc.field("spec")?;
         let spec = FleetChaosSpec {
-            hosts: u(&need(sj.get("hosts"), "spec.hosts")?, "spec.hosts")? as u16,
-            start: SimTime::from_ns(u(&need(sj.get("start_ns"), "spec.start_ns")?, "start_ns")?),
-            horizon_ns: u(
-                &need(sj.get("horizon_ns"), "spec.horizon_ns")?,
-                "horizon_ns",
-            )?,
-            mean_gap_ns: u(
-                &need(sj.get("mean_gap_ns"), "spec.mean_gap_ns")?,
-                "mean_gap_ns",
-            )?,
-            min_down_ns: u(
-                &need(sj.get("min_down_ns"), "spec.min_down_ns")?,
-                "min_down_ns",
-            )?,
-            max_down_ns: u(
-                &need(sj.get("max_down_ns"), "spec.max_down_ns")?,
-                "max_down_ns",
-            )?,
-            ops: need(sj.get("ops"), "spec.ops")?
-                .as_arr()
-                .ok_or("spec.ops not an array")?
-                .iter()
-                .map(op_of)
+            hosts: u16_of(sj, "hosts", "spec.hosts")?,
+            start: SimTime::from_ns(sj.u64_field("start_ns")?),
+            horizon_ns: sj.u64_field("horizon_ns")?,
+            mean_gap_ns: sj.u64_field("mean_gap_ns")?,
+            min_down_ns: sj.u64_field("min_down_ns")?,
+            max_down_ns: sj.u64_field("max_down_ns")?,
+            ops: (sj.arr_field("ops")?.iter())
+                .map(|o| op_of(o.as_str().ok_or("ops not all strings")?))
                 .collect::<Result<_, _>>()?,
         };
         let mut events = Vec::new();
-        for ej in need(doc.get("events"), "events")?
-            .as_arr()
-            .ok_or("events not an array")?
-        {
-            let host = u(&need(ej.get("host"), "event.host")?, "host")? as u16;
+        for ej in doc.arr_field("events")? {
+            let host = u16_of(ej, "host", "event.host")?;
             if host >= spec.hosts {
                 return Err(format!(
                     "event host {host} out of range (spec.hosts {})",
@@ -434,17 +405,17 @@ impl FleetChaosPlan {
                 ));
             }
             events.push(HostFault {
-                at: SimTime::from_ns(u(&need(ej.get("at_ns"), "event.at_ns")?, "at_ns")?),
+                at: SimTime::from_ns(ej.u64_field("at_ns")?),
                 host,
-                op: op_of(&need(ej.get("op"), "event.op")?)?,
-                down_ns: u(&need(ej.get("down_ns"), "event.down_ns")?, "down_ns")?,
+                op: op_of(ej.str_field("op")?)?,
+                down_ns: ej.u64_field("down_ns")?,
             });
         }
         if !events.windows(2).all(|w| w[0].at <= w[1].at) {
             return Err("events not sorted by at_ns".into());
         }
         Ok(FleetChaosPlan {
-            seed: u(&need(doc.get("seed"), "seed")?, "seed")?,
+            seed: doc.u64_field("seed")?,
             events,
             spec,
         })
@@ -552,6 +523,18 @@ mod tests {
             FleetChaosPlan::from_json(&doc.render()).is_err(),
             "4-host plan must not parse under a 1-host spec"
         );
+        // Host ids past u16 are rejected by name, never narrowed (65538
+        // would otherwise replay as host 2).
+        let wide = plan.to_json().replacen(
+            &format!("\"host\":{}", plan.events[0].host),
+            "\"host\":65538",
+            1,
+        );
+        let err = FleetChaosPlan::from_json(&wide).unwrap_err();
+        assert!(err.contains("event.host 65538"), "{err}");
+        let wide = plan.to_json().replace("\"hosts\":4", "\"hosts\":65540");
+        let err = FleetChaosPlan::from_json(&wide).unwrap_err();
+        assert!(err.contains("spec.hosts 65540"), "{err}");
     }
 
     #[test]
@@ -564,8 +547,6 @@ mod tests {
         assert_eq!(sub.seed, plan.seed);
         assert_eq!(sub.spec(), plan.spec());
         assert_eq!(sub.events, half);
-        assert_eq!(plan.prefix(3).events, plan.events[..3].to_vec());
-        assert_eq!(plan.prefix(n + 10).events.len(), n);
     }
 
     #[test]

@@ -205,19 +205,13 @@ impl FleetSpec {
     /// Parses a spec previously written by [`FleetSpec::to_json`].
     pub fn from_json(text: &str) -> Result<FleetSpec, String> {
         let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let need =
-            |v: Option<&Json>, what: &str| v.cloned().ok_or_else(|| format!("missing {what}"));
-        let u = |v: &Json, what: &str| v.as_u64().ok_or_else(|| format!("{what} not a u64"));
-        let field =
-            |what: &'static str| -> Result<u64, String> { u(&need(doc.get(what), what)?, what) };
+        let field = |key| doc.u64_field(key);
         let mut size_mix = Vec::new();
-        for entry in need(doc.get("size_mix"), "size_mix")?
-            .as_arr()
-            .ok_or("size_mix not an array")?
-        {
-            let v = u(&need(entry.get("vcpus"), "size_mix.vcpus")?, "vcpus")? as usize;
-            let w = u(&need(entry.get("weight"), "size_mix.weight")?, "weight")?;
-            size_mix.push((v, w));
+        for entry in doc.arr_field("size_mix")? {
+            size_mix.push((
+                entry.u64_field("vcpus")? as usize,
+                entry.u64_field("weight")?,
+            ));
         }
         // Absent churn means the PR 5 spec shape: stochastic generation.
         let churn = match doc.get("churn") {
@@ -235,7 +229,7 @@ impl FleetSpec {
         let tier = |key: &'static str, dflt: u64| -> Result<u64, String> {
             match doc.get(key) {
                 None => Ok(dflt),
-                Some(v) => u(v, key),
+                Some(_) => doc.u64_field(key),
             }
         };
         let spec = FleetSpec {

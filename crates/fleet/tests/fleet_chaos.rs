@@ -6,7 +6,7 @@
 //! stranded on a dead host, and the admission ledger must still balance.
 //! One test is re-seedable from the `FLEET_CHAOS_SEED` environment
 //! variable so a CI sweep failure prints the exact seed to replay (and
-//! `suite --shrink-fleet SEED` can then 1-minimize the plan).
+//! `suite --shrink fleet-chaos:SEED` can then 1-minimize the plan).
 
 use simcore::propcheck;
 use simcore::time::MS;

@@ -98,6 +98,11 @@ fn class_tag(class: FaultClass) -> u64 {
     }
 }
 
+/// Largest magnitude a parsed plan may carry. Generated magnitudes are
+/// stressor weights up to 8192, per-mille factors and thread indexes;
+/// the cap keeps [`FaultPlan::apply`]'s integer arithmetic in range.
+const MAX_MAGNITUDE: u64 = 1 << 20;
+
 /// One planned fault with its concrete parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InjectedFault {
@@ -343,8 +348,9 @@ impl FaultPlan {
     }
 
     /// Serializes the full plan — spec, seed, and action list — as JSON.
-    /// This is the chaos-repro file format (`suite --shrink` writes it,
-    /// `suite --replay` reads it back); integers round-trip exactly.
+    /// This is the `plan` member of a chaos repro file (`suite --shrink
+    /// chaos:SEED` writes it, `suite --replay` reads it back); integers
+    /// round-trip exactly.
     pub fn to_json(&self) -> String {
         let spec = &self.spec;
         let uints = |v: &[usize]| Json::Arr(v.iter().map(|&x| Json::Uint(x as u64)).collect());
@@ -387,64 +393,61 @@ impl FaultPlan {
     /// Parses a plan previously written by [`FaultPlan::to_json`].
     pub fn from_json(text: &str) -> Result<FaultPlan, String> {
         let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let need =
-            |v: Option<&Json>, what: &str| v.cloned().ok_or_else(|| format!("missing {what}"));
-        let u = |v: &Json, what: &str| v.as_u64().ok_or_else(|| format!("{what} not a u64"));
-        let usizes = |v: &Json, what: &str| -> Result<Vec<usize>, String> {
-            v.as_arr()
-                .ok_or_else(|| format!("{what} not an array"))?
-                .iter()
-                .map(|x| u(x, what).map(|n| n as usize))
-                .collect()
-        };
-        let class_of = |v: &Json| -> Result<FaultClass, String> {
-            let name = v.as_str().ok_or("class not a string")?;
+        let class_of = |name: &str| {
             FaultClass::from_name(name).ok_or_else(|| format!("unknown fault class '{name}'"))
         };
-
-        let sj = need(doc.get("spec"), "spec")?;
-        let spec = ChaosSpec {
-            vm: u(&need(sj.get("vm"), "spec.vm")?, "spec.vm")? as usize,
-            nr_vcpus: u(&need(sj.get("nr_vcpus"), "spec.nr_vcpus")?, "spec.nr_vcpus")? as usize,
-            threads: usizes(&need(sj.get("threads"), "spec.threads")?, "spec.threads")?,
-            cores: usizes(&need(sj.get("cores"), "spec.cores")?, "spec.cores")?,
-            classes: need(sj.get("classes"), "spec.classes")?
-                .as_arr()
-                .ok_or("spec.classes not an array")?
-                .iter()
-                .map(class_of)
-                .collect::<Result<_, _>>()?,
-            start: SimTime::from_ns(u(&need(sj.get("start_ns"), "spec.start_ns")?, "start_ns")?),
-            horizon_ns: u(
-                &need(sj.get("horizon_ns"), "spec.horizon_ns")?,
-                "horizon_ns",
-            )?,
-            mean_interval_ns: u(
-                &need(sj.get("mean_interval_ns"), "spec.mean_interval_ns")?,
-                "mean_interval_ns",
-            )?,
+        let sj = doc.field("spec")?;
+        let usizes = |key| -> Result<Vec<usize>, String> {
+            (sj.arr_field(key)?.iter())
+                .map(|x| x.as_u64().map(|n| n as usize))
+                .collect::<Option<_>>()
+                .ok_or_else(|| format!("{key} not all u64"))
         };
+        let spec = ChaosSpec {
+            vm: sj.u64_field("vm")? as usize,
+            nr_vcpus: sj.u64_field("nr_vcpus")? as usize,
+            threads: usizes("threads")?,
+            cores: usizes("cores")?,
+            classes: (sj.arr_field("classes")?.iter())
+                .map(|c| class_of(c.as_str().ok_or("classes not all strings")?))
+                .collect::<Result<_, _>>()?,
+            start: SimTime::from_ns(sj.u64_field("start_ns")?),
+            horizon_ns: sj.u64_field("horizon_ns")?,
+            mean_interval_ns: sj.u64_field("mean_interval_ns")?,
+        };
+        // apply() maps vCPUs onto these sets by remainder.
+        if spec.threads.is_empty() {
+            return Err("spec.threads is empty".into());
+        }
+        if spec.cores.is_empty() {
+            return Err("spec.cores is empty".into());
+        }
         let mut events = Vec::new();
-        for ej in need(doc.get("events"), "events")?
-            .as_arr()
-            .ok_or("events not an array")?
-        {
+        for ej in doc.arr_field("events")? {
+            let vcpu = ej.u64_field("vcpu")? as usize;
+            if vcpu >= spec.nr_vcpus {
+                return Err(format!(
+                    "event vcpu {vcpu} out of range (spec.nr_vcpus {})",
+                    spec.nr_vcpus
+                ));
+            }
+            let magnitude = ej.u64_field("magnitude")?;
+            if magnitude > MAX_MAGNITUDE {
+                return Err(format!("event magnitude {magnitude} above {MAX_MAGNITUDE}"));
+            }
             events.push(InjectedFault {
-                at: SimTime::from_ns(u(&need(ej.get("at_ns"), "event.at_ns")?, "at_ns")?),
-                class: class_of(&need(ej.get("class"), "event.class")?)?,
-                vcpu: u(&need(ej.get("vcpu"), "event.vcpu")?, "vcpu")? as usize,
-                duration_ns: u(
-                    &need(ej.get("duration_ns"), "event.duration_ns")?,
-                    "duration_ns",
-                )?,
-                magnitude: u(&need(ej.get("magnitude"), "event.magnitude")?, "magnitude")?,
+                at: SimTime::from_ns(ej.u64_field("at_ns")?),
+                class: class_of(ej.str_field("class")?)?,
+                vcpu,
+                duration_ns: ej.u64_field("duration_ns")?,
+                magnitude,
             });
         }
         if !events.windows(2).all(|w| w[0].at <= w[1].at) {
             return Err("events not sorted by at_ns".into());
         }
         Ok(FaultPlan {
-            seed: u(&need(doc.get("seed"), "seed")?, "seed")?,
+            seed: doc.u64_field("seed")?,
             events,
             spec,
         })
@@ -549,6 +552,21 @@ mod tests {
             }
         }
         assert!(FaultPlan::from_json(&doc.render()).is_err());
+        // Shapes apply() cannot execute: an empty thread or core set (it
+        // maps vCPUs onto them by remainder) and a vCPU outside the VM.
+        let reject = |bad: FaultPlan| FaultPlan::from_json(&bad.to_json()).unwrap_err();
+        let mut bad = plan.clone();
+        bad.spec.threads.clear();
+        assert!(reject(bad).contains("spec.threads"));
+        let mut bad = plan.clone();
+        bad.spec.cores.clear();
+        assert!(reject(bad).contains("spec.cores"));
+        let mut bad = plan.clone();
+        bad.events[0].vcpu = bad.spec.nr_vcpus;
+        assert!(reject(bad).contains("event vcpu 4 out of range"));
+        let mut bad = plan.clone();
+        bad.events[0].magnitude = u64::MAX;
+        assert!(reject(bad).contains("magnitude"));
     }
 
     #[test]

@@ -82,6 +82,29 @@ impl Json {
         }
     }
 
+    /// Object field `key`, or an error naming it.
+    pub fn field(&self, key: &str) -> Result<&Json, String> {
+        self.get(key).ok_or_else(|| format!("missing {key}"))
+    }
+
+    /// Object field `key` as `u64`, or an error naming it.
+    pub fn u64_field(&self, key: &str) -> Result<u64, String> {
+        let v = self.field(key)?;
+        v.as_u64().ok_or_else(|| format!("{key} not a u64"))
+    }
+
+    /// Object field `key` as a string, or an error naming it.
+    pub fn str_field(&self, key: &str) -> Result<&str, String> {
+        let v = self.field(key)?;
+        v.as_str().ok_or_else(|| format!("{key} not a string"))
+    }
+
+    /// Object field `key` as an array, or an error naming it.
+    pub fn arr_field(&self, key: &str) -> Result<&[Json], String> {
+        let v = self.field(key)?;
+        v.as_arr().ok_or_else(|| format!("{key} not an array"))
+    }
+
     /// Convenience constructor for objects from `(key, value)` pairs.
     pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
         Json::Obj(

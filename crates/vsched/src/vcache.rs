@@ -29,16 +29,11 @@
 
 use crate::error::ProbeError;
 use crate::tunables::Tunables;
-use crate::vcap::median_of;
+use crate::vet::{median_of, Floor, History, Suspicion};
 use guestos::{CpuMask, Kernel, PerceivedTopology, Platform, VcpuId};
 use simcore::SimTime;
-use std::collections::VecDeque;
 use trace::{EventKind, ProbeKind};
 
-/// Accepted window aggregates remembered per domain for outlier rejection.
-const HISTORY_CAP: usize = 8;
-/// Outlier tests need at least this much history to be meaningful.
-const HISTORY_MIN: usize = 4;
 /// Absolute floor of the median/MAD rejection band: pressure is already
 /// normalized to `[0, 1]`, so swings under this are always believable.
 const BAND_FLOOR: f64 = 0.2;
@@ -63,12 +58,10 @@ pub struct Vcache {
     /// Rotating start offset into each domain's member list.
     rr: usize,
     /// Accepted window aggregates per domain, newest last.
-    history: Vec<VecDeque<f64>>,
-    /// Interference-suspicion score in `[0, 1]` (vcap semantics: +0.35
-    /// per rejection, ×0.6 per clean window).
-    pub suspicion: f64,
-    /// Window aggregates rejected by vetting over the run.
-    pub rejected_samples: u64,
+    history: Vec<History>,
+    /// Interference suspicion and rejected-aggregate count (vcap
+    /// semantics: +0.35 per rejection, ×0.6 per clean window).
+    pub suspicion: Suspicion,
     /// Windows closed over the run.
     pub windows: u64,
     hit_ns: f64,
@@ -90,9 +83,8 @@ impl Vcache {
             window_open: false,
             samples_taken: 0,
             rr: 0,
-            history: vec![VecDeque::new()],
-            suspicion: 0.0,
-            rejected_samples: 0,
+            history: vec![History::default()],
+            suspicion: Suspicion::default(),
             windows: 0,
             hit_ns: tun.vcache_hit_ns,
             miss_ns: tun.vcache_miss_ns,
@@ -122,7 +114,7 @@ impl Vcache {
             self.pressure = vec![None; n];
             self.last_update = vec![SimTime::ZERO; n];
             self.samples = vec![Vec::new(); n];
-            self.history = vec![VecDeque::new(); n];
+            self.history = vec![History::default(); n];
         }
     }
 
@@ -211,42 +203,24 @@ impl Vcache {
             }
             let agg = median_of(samples.iter().copied());
             if self.hardened {
-                let h = &self.history[d];
-                if h.len() >= HISTORY_MIN {
-                    let med = median_of(h.iter().copied());
-                    let mad = median_of(h.iter().map(|&x| (x - med).abs()));
-                    if (agg - med).abs() > (4.0 * mad).max(BAND_FLOOR) {
-                        // A poisoned aggregate must not be published and
-                        // must not count toward `published` — an
-                        // all-rejected window rides the NoSamples path.
-                        self.rejected_samples += 1;
-                        self.suspicion = (self.suspicion + 0.35).min(1.0);
-                        rejected_now = true;
-                        let rep = self.domain_of.iter().position(|&x| x == d).unwrap_or(0);
-                        kern.trace.emit(
-                            now,
-                            EventKind::ProbeRejected {
-                                vcpu: rep as u16,
-                                probe: ProbeKind::Vcache,
-                                sample: agg,
-                                median: med,
-                            },
-                        );
-                        continue;
-                    }
+                if let Some(med) = self.history[d].outlier(agg, Floor::Absolute(BAND_FLOOR)) {
+                    // A poisoned aggregate must not be published and must
+                    // not count toward `published` — an all-rejected
+                    // window rides the NoSamples path.
+                    let rep = self.domain_of.iter().position(|&x| x == d).unwrap_or(0);
+                    self.suspicion
+                        .reject(kern, now, ProbeKind::Vcache, rep, agg, med);
+                    rejected_now = true;
+                    continue;
                 }
-                let h = &mut self.history[d];
-                h.push_back(agg);
-                if h.len() > HISTORY_CAP {
-                    h.pop_front();
-                }
+                self.history[d].push(agg);
             }
             self.pressure[d] = Some(agg);
             self.last_update[d] = now;
             published += 1;
         }
         if self.hardened && !rejected_now {
-            self.suspicion *= 0.6;
+            self.suspicion.clean();
         }
         if published == 0 {
             return Err(ProbeError::NoSamples(ProbeKind::Vcache));
@@ -337,11 +311,11 @@ mod tests {
     fn vetting_rejects_outlier_aggregates() {
         let mut vc = Vcache::new(1, &tun());
         for _ in 0..6 {
-            vc.history[0].push_back(0.1);
+            vc.history[0].push(0.1);
         }
         // Directly exercise the band arithmetic used in close_window.
-        let med = median_of(vc.history[0].iter().copied());
-        let mad = median_of(vc.history[0].iter().map(|&x| (x - med).abs()));
+        let med = median_of(vc.history[0].0.iter().copied());
+        let mad = median_of(vc.history[0].0.iter().map(|&x| (x - med).abs()));
         let band = (4.0 * mad).max(BAND_FLOOR);
         assert!((0.9 - med).abs() > band, "a thrash spike is an outlier");
         assert!((0.25 - med).abs() <= band, "modest drift is accepted");

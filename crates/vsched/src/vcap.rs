@@ -19,18 +19,14 @@
 
 use crate::error::ProbeError;
 use crate::tunables::Tunables;
+use crate::vet::{Floor, History, Suspicion};
 use guestos::{CpuMask, Kernel, Platform, Policy, SpawnSpec, TaskId, TaskProgram, VcpuId};
 use metrics::Ema;
 use simcore::SimTime;
-use std::collections::VecDeque;
 
 /// High-priority weight used by heavy-phase probers (nice −20).
 const HEAVY_WEIGHT: u64 = 88761;
 
-/// Accepted samples remembered per vCPU for outlier rejection.
-const HISTORY_CAP: usize = 8;
-/// Outlier tests need at least this much history to be meaningful.
-const HISTORY_MIN: usize = 4;
 /// A window whose steal rate exceeds this multiple of the canary baseline
 /// (plus [`TARGETED_RATE_FLOOR`]) is treated as window-targeted
 /// interference. Honest contention presses on the vCPU around the clock,
@@ -79,7 +75,7 @@ pub struct Vcap {
     /// interference and statistical outliers before they reach the EMAs.
     pub hardened: bool,
     /// Accepted samples per vCPU, newest last (hardened mode only).
-    history: Vec<VecDeque<f64>>,
+    history: Vec<History>,
     /// Baseline steal rate per vCPU, measured by canary micro-probes at
     /// schedule-jittered offsets between windows. An idle guest accrues
     /// no steal while its vCPUs have nothing to run, so the windows alone
@@ -91,12 +87,11 @@ pub struct Vcap {
     canary_opened_at: SimTime,
     /// When the current window opened.
     window_opened_at: SimTime,
-    /// Interference-suspicion score in `[0, 1]`: bumped per rejected
-    /// sample, decayed by clean windows. Fed to the resilience layer so a
-    /// gamed prober erodes confidence instead of publishing poison.
-    pub suspicion: f64,
-    /// Samples rejected by hardening over the run.
-    pub rejected_samples: u64,
+    /// Interference suspicion and rejected-sample count: bumped per
+    /// rejected sample, decayed by clean windows. Fed to the resilience
+    /// layer so a gamed prober erodes confidence instead of publishing
+    /// poison.
+    pub suspicion: Suspicion,
     /// Probed core capacity per vCPU (EMA over heavy samples).
     pub core_cap: Vec<f64>,
     /// Published per-vCPU capacity estimates.
@@ -125,14 +120,13 @@ impl Vcap {
             light_count: 0,
             start_steal: vec![0; nr_vcpus],
             hardened: false,
-            history: vec![VecDeque::new(); nr_vcpus],
+            history: vec![History::default(); nr_vcpus],
             canary_rate: vec![None; nr_vcpus],
             canary_start_steal: vec![0; nr_vcpus],
             canary_open: false,
             canary_opened_at: SimTime::ZERO,
             window_opened_at: SimTime::ZERO,
-            suspicion: 0.0,
-            rejected_samples: 0,
+            suspicion: Suspicion::default(),
             core_cap: vec![1024.0; nr_vcpus],
             cap: vec![Ema::from_half_life(tun.vcap_ema_half_life); nr_vcpus],
             median_cap: 1024.0,
@@ -282,25 +276,13 @@ impl Vcap {
                     // published, and must not count toward `sampled` — an
                     // all-rejected window surfaces as `NoSamples` and rides
                     // the existing degraded-mode entry path.
-                    self.rejected_samples += 1;
-                    self.suspicion = (self.suspicion + 0.35).min(1.0);
+                    let now = plat.now();
+                    let probe = trace::ProbeKind::Vcap;
+                    self.suspicion.reject(kern, now, probe, v, sample, median);
                     rejected_now = true;
-                    kern.trace.emit(
-                        plat.now(),
-                        trace::EventKind::ProbeRejected {
-                            vcpu: v as u16,
-                            probe: trace::ProbeKind::Vcap,
-                            sample,
-                            median,
-                        },
-                    );
                     continue;
                 }
-                let h = &mut self.history[v];
-                h.push_back(sample);
-                if h.len() > HISTORY_CAP {
-                    h.pop_front();
-                }
+                self.history[v].push(sample);
             }
             let ema = self.cap[v].update(sample);
             if !self.suppress_publish {
@@ -336,7 +318,7 @@ impl Vcap {
         if self.hardened && !rejected_now {
             // Clean windows decay suspicion; only sustained gaming keeps it
             // high enough to matter to the resilience layer.
-            self.suspicion *= 0.6;
+            self.suspicion.clean();
         }
         if sampled == 0 {
             return Err(ProbeError::NoSamples(trace::ProbeKind::Vcap));
@@ -364,16 +346,15 @@ impl Vcap {
             None => false,
         };
         let h = &self.history[v];
-        let med = if h.is_empty() {
-            self.capacity(VcpuId(v))
-        } else {
-            median_of(h.iter().copied())
-        };
-        let outlier = h.len() >= HISTORY_MIN && {
-            let mad = median_of(h.iter().map(|&x| (x - med).abs()));
-            (sample - med).abs() > (4.0 * mad).max(0.25 * med)
-        };
-        (targeted || outlier).then_some(med)
+        let outlier = h.outlier(sample, Floor::Relative(0.25));
+        let med = outlier.unwrap_or_else(|| {
+            if h.is_empty() {
+                self.capacity(VcpuId(v))
+            } else {
+                h.median()
+            }
+        });
+        (targeted || outlier.is_some()).then_some(med)
     }
 
     /// Where in the current inter-window gap the next canary lands,
@@ -483,17 +464,5 @@ impl Vcap {
     /// Lifts a ban.
     pub fn unban_vcpu(&mut self, v: usize) {
         self.skip[v] = false;
-    }
-}
-
-/// Median of a small sample set. `total_cmp` keeps a hostile NaN from
-/// poisoning the sort (same reasoning as the capacity aggregates).
-pub(crate) fn median_of(values: impl Iterator<Item = f64>) -> f64 {
-    let mut xs: Vec<f64> = values.collect();
-    xs.sort_by(|a, b| a.total_cmp(b));
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs[(xs.len() - 1) / 2]
     }
 }

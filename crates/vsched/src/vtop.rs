@@ -22,18 +22,12 @@
 
 use crate::error::ProbeError;
 use crate::tunables::Tunables;
-use crate::vcap::median_of;
+use crate::vet::{Floor, History, Suspicion};
 use guestos::{
     CpuMask, Kernel, PerceivedTopology, Platform, Policy, SpawnSpec, TaskId, TaskProgram, VcpuId,
 };
 use simcore::SimTime;
-use std::collections::VecDeque;
-use trace::{EventKind, ProbeKind};
-
-/// Accepted validation latencies remembered per pair class (hardened mode).
-const HISTORY_CAP: usize = 8;
-/// Outlier tests need at least this much history to be meaningful.
-const HISTORY_MIN: usize = 4;
+use trace::ProbeKind;
 
 /// Classified distance between a vCPU pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,12 +203,10 @@ pub struct Vtop {
     pub hardened: bool,
     /// Accepted validation latencies per finite pair class
     /// (Smt / SameSocket / CrossSocket), newest last.
-    history: [VecDeque<f64>; 3],
-    /// Interference-suspicion score in `[0, 1]` (vcap semantics: +0.35
-    /// per rejection, ×0.6 per clean validation pass).
-    pub suspicion: f64,
-    /// Validation latencies rejected by vetting over the run.
-    pub rejected_samples: u64,
+    history: [History; 3],
+    /// Interference suspicion and rejected-latency count (vcap semantics:
+    /// +0.35 per rejection, ×0.6 per clean validation pass).
+    pub suspicion: Suspicion,
     installed: Option<PerceivedTopology>,
 }
 
@@ -244,9 +236,8 @@ impl Vtop {
             validations: 0,
             validation_failures: 0,
             hardened: false,
-            history: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
-            suspicion: 0.0,
-            rejected_samples: 0,
+            history: Default::default(),
+            suspicion: Suspicion::default(),
             installed: None,
         }
     }
@@ -513,7 +504,7 @@ impl Vtop {
                                 if self.hardened && !val.rejected {
                                     // A clean pass bleeds suspicion off
                                     // (vcap's clean-window discipline).
-                                    self.suspicion *= 0.6;
+                                    self.suspicion.clean();
                                 }
                                 self.phase = Phase::Idle;
                                 if mismatch {
@@ -729,11 +720,7 @@ impl Vtop {
                     } else if self.hardened {
                         if let Some(slot) = class_slot(class) {
                             if s.latency.is_finite() {
-                                let h = &mut self.history[slot];
-                                h.push_back(s.latency);
-                                if h.len() > HISTORY_CAP {
-                                    h.pop_front();
-                                }
+                                self.history[slot].push(s.latency);
                             }
                         }
                     }
@@ -777,26 +764,11 @@ impl Vtop {
         if !s.latency.is_finite() {
             return false;
         }
-        let h = &self.history[slot];
-        if h.len() < HISTORY_MIN {
+        let Some(med) = self.history[slot].outlier(s.latency, Floor::Relative(0.25)) else {
             return false;
-        }
-        let med = median_of(h.iter().copied());
-        let mad = median_of(h.iter().map(|&x| (x - med).abs()));
-        if (s.latency - med).abs() <= (4.0 * mad).max(0.25 * med) {
-            return false;
-        }
-        self.rejected_samples += 1;
-        self.suspicion = (self.suspicion + 0.35).min(1.0);
-        kern.trace.emit(
-            now,
-            EventKind::ProbeRejected {
-                vcpu: s.a as u16,
-                probe: ProbeKind::Vtop,
-                sample: s.latency,
-                median: med,
-            },
-        );
+        };
+        self.suspicion
+            .reject(kern, now, ProbeKind::Vtop, s.a, s.latency, med);
         true
     }
 

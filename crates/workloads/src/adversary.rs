@@ -337,49 +337,54 @@ impl AttackPlan {
     /// Parses a plan previously written by [`AttackPlan::to_json`].
     pub fn from_json(text: &str) -> Result<AttackPlan, String> {
         let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let need =
-            |v: Option<&Json>, what: &str| v.cloned().ok_or_else(|| format!("missing {what}"));
-        let u = |v: &Json, what: &str| v.as_u64().ok_or_else(|| format!("{what} not a u64"));
-        let kind_of = |v: &Json| -> Result<AttackKind, String> {
-            let name = v.as_str().ok_or("kind not a string")?;
+        let kind_of = |name: &str| {
             AttackKind::from_name(name).ok_or_else(|| format!("unknown attack kind '{name}'"))
         };
-
-        let sj = need(doc.get("spec"), "spec")?;
-        let su = |key: &str| -> Result<u64, String> { u(&need(sj.get(key), key)?, key) };
+        let sj = doc.field("spec")?;
         let spec = AttackSpec {
-            nr_vcpus: su("nr_vcpus")? as usize,
-            kinds: need(sj.get("kinds"), "spec.kinds")?
-                .as_arr()
-                .ok_or("spec.kinds not an array")?
-                .iter()
-                .map(kind_of)
+            nr_vcpus: sj.u64_field("nr_vcpus")? as usize,
+            kinds: (sj.arr_field("kinds")?.iter())
+                .map(|k| kind_of(k.as_str().ok_or("kinds not all strings")?))
                 .collect::<Result<_, _>>()?,
-            start: SimTime::from_ns(su("start_ns")?),
-            horizon_ns: su("horizon_ns")?,
-            tick_ns: su("tick_ns")?,
-            guard_ns: su("guard_ns")?,
-            probe_first_ns: su("probe_first_ns")?,
-            probe_every_ns: su("probe_every_ns")?,
-            probe_window_ns: su("probe_window_ns")?,
+            start: SimTime::from_ns(sj.u64_field("start_ns")?),
+            horizon_ns: sj.u64_field("horizon_ns")?,
+            tick_ns: sj.u64_field("tick_ns")?,
+            guard_ns: sj.u64_field("guard_ns")?,
+            probe_first_ns: sj.u64_field("probe_first_ns")?,
+            probe_every_ns: sj.u64_field("probe_every_ns")?,
+            probe_window_ns: sj.u64_field("probe_window_ns")?,
         };
         let mut events = Vec::new();
-        for ej in need(doc.get("events"), "events")?
-            .as_arr()
-            .ok_or("events not an array")?
-        {
+        for ej in doc.arr_field("events")? {
+            let vcpu = ej.u64_field("vcpu")? as usize;
+            if vcpu >= spec.nr_vcpus {
+                return Err(format!(
+                    "event vcpu {vcpu} out of range (spec.nr_vcpus {})",
+                    spec.nr_vcpus
+                ));
+            }
+            // Generated actions start inside the horizon and last at most
+            // one horizon; the executor expands DodgeRuns tick by tick, so
+            // an unbounded one would never finish compiling.
+            let at = ej.u64_field("at_ns")?;
+            let dur_ns = ej.u64_field("dur_ns")?;
+            if at >= spec.start.ns().saturating_add(spec.horizon_ns) || dur_ns > spec.horizon_ns {
+                return Err(format!(
+                    "event at_ns {at} + dur_ns {dur_ns} outside the spec horizon"
+                ));
+            }
             events.push(AttackAction {
-                at: SimTime::from_ns(u(&need(ej.get("at_ns"), "event.at_ns")?, "at_ns")?),
-                kind: kind_of(&need(ej.get("kind"), "event.kind")?)?,
-                vcpu: u(&need(ej.get("vcpu"), "event.vcpu")?, "vcpu")? as usize,
-                dur_ns: u(&need(ej.get("dur_ns"), "event.dur_ns")?, "dur_ns")?,
+                at: SimTime::from_ns(at),
+                kind: kind_of(ej.str_field("kind")?)?,
+                vcpu,
+                dur_ns,
             });
         }
         if !events.windows(2).all(|w| w[0].at <= w[1].at) {
             return Err("events not sorted by at_ns".into());
         }
         Ok(AttackPlan {
-            seed: u(&need(doc.get("seed"), "seed")?, "seed")?,
+            seed: doc.u64_field("seed")?,
             events,
             spec,
         })
@@ -573,6 +578,33 @@ mod tests {
             let back = AttackPlan::from_json(&plan.to_json()).unwrap();
             assert_eq!(back, plan);
         });
+    }
+
+    #[test]
+    fn from_json_rejects_malformed_plans() {
+        let plan = AttackPlan::generate(5, &AttackSpec::for_vm(2, 2_000 * MS));
+        assert!(plan.events.len() >= 2);
+        let mut unsorted = plan.clone();
+        unsorted.events.reverse();
+        let mut far_vcpu = plan.clone();
+        far_vcpu.events[0].vcpu = 2;
+        let mut endless = plan.clone();
+        endless.events[0].dur_ns = u64::MAX;
+        let cases = [
+            ("{}".to_string(), "missing spec"),
+            ("not json".to_string(), ""),
+            (unsorted.to_json(), "not sorted"),
+            (far_vcpu.to_json(), "event vcpu 2 out of range"),
+            (endless.to_json(), "outside the spec horizon"),
+            (
+                plan.to_json().replace("DodgeRun", "Nap"),
+                "unknown attack kind",
+            ),
+        ];
+        for (text, want) in cases {
+            let err = AttackPlan::from_json(&text).unwrap_err();
+            assert!(err.contains(want), "{err:?} should name {want:?}");
+        }
     }
 
     #[test]

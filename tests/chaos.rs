@@ -186,7 +186,7 @@ fn fixed_seed_replays_byte_identically() {
     let a = chaos::run_mode(ChaosMode::VschedResilient, 4, 99);
     let b = chaos::run_mode(ChaosMode::VschedResilient, 4, 99);
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
-    let (_, plan_a) = chaos::plan_for(4, 99);
-    let (_, plan_b) = chaos::plan_for(4, 99);
+    let plan_a = chaos::plan_for(4, 99);
+    let plan_b = chaos::plan_for(4, 99);
     assert_eq!(plan_a.describe(), plan_b.describe());
 }
