@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Offline CI gate: formatting, lints, the tier-1 build + test suite,
-# serial-vs-parallel determinism gates, randomized invariant sweeps,
-# shrink/replay and supervision smokes, and a bench harness regeneration
-# pass. Everything here must pass without network
-# access.
+# Offline CI gate: formatting, lints, the tier-1 build + test suite, the
+# golden smoke-suite output, serial-vs-parallel determinism gates,
+# randomized invariant sweeps, shrink/replay and supervision smokes, and a
+# bench harness regeneration pass. Everything here must pass without
+# network access.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -16,6 +16,13 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
+
+echo "== golden: smoke suite stdout vs tests/golden/suite_smoke_seed42.txt"
+# Pins every job's figure bytes at smoke scale, seed 42. A deliberate
+# behaviour change regenerates the file with this command and says why in
+# CHANGES.md.
+./target/release/suite --scale smoke --seed 42 --no-ckpt 2>/dev/null \
+    | diff tests/golden/suite_smoke_seed42.txt -
 
 echo "== determinism: serial vs parallel byte-identity"
 # Every row runs one command serially and in parallel, requires

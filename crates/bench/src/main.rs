@@ -2,8 +2,8 @@
 //!
 //! Times the simulator's hot paths end to end — no criterion, no registry
 //! deps, runs anywhere tier-1 builds — and writes the results to
-//! `BENCH_vsched.json` at the repo root. Six micro benches plus the suite
-//! wall clock:
+//! `BENCH_vsched.json` in the working directory. Six micro benches plus
+//! the suite wall clock:
 //!
 //! * `hostsim_dispatch` — events/sec through `Machine::run_until` on a
 //!   two-VM contention scenario (the simulator's outer loop).
@@ -265,7 +265,7 @@ fn bench_fleet_cluster(hosts: usize, horizon_secs: u64) -> FleetRow {
 /// One complete quick-scale figure: simulated seconds per wall second.
 fn bench_figure_fig03() -> Micro {
     let t0 = Instant::now();
-    let fig = experiments::fig03::run(42, Scale::Quick);
+    let fig = experiments::fig03::figure().run(42, Scale::Quick);
     let secs = t0.elapsed().as_secs_f64();
     assert!(fig.improvement() > 0.0);
     // Two modes at quick scale's 5 simulated seconds each.
@@ -325,7 +325,7 @@ fn json_f(x: f64) -> String {
 
 fn main() {
     let mut scale = Scale::from_env();
-    let mut out = format!("{}/../../BENCH_vsched.json", env!("CARGO_MANIFEST_DIR"));
+    let mut out = String::from("BENCH_vsched.json");
     let mut skip_suite = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {

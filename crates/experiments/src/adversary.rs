@@ -25,6 +25,7 @@
 //! explicit plan (`suite --replay FILE`).
 
 use crate::common::{check_report, checked_collector, Mode, Scale};
+use crate::figure::{cell, got, Figure};
 use hostsim::{DomainSchedule, HostSched, HostSpec, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::time::{MS, SEC};
@@ -388,13 +389,31 @@ impl fmt::Display for AdversaryMatrix {
     }
 }
 
-/// Runs the full 2×3 matrix serially (the runner shards the same cells).
-pub fn run(seed: u64, scale: Scale) -> AdversaryMatrix {
-    let horizon = scale.secs(8, 30);
-    let rows = POLICIES
-        .iter()
-        .flat_map(|&p| GUESTS.iter().map(move |&g| (p, g)))
-        .map(|(p, g)| (p, g, run_cell(p, g, horizon, seed)))
-        .collect();
-    AdversaryMatrix { rows }
+/// The job: one cell per (host policy, victim guest). Each cell runs its
+/// own dodge and pollute sub-runs, so the matrix shards six ways.
+pub fn figure() -> Figure<AdversaryMatrix> {
+    let mut cells = Vec::new();
+    for policy in POLICIES {
+        for guest in GUESTS {
+            cells.push(cell(
+                format!("{}/{}", policy.label(), guest.label()),
+                move |seed, scale: Scale| run_cell(policy, guest, scale.secs(8, 30), seed),
+            ));
+        }
+    }
+    Figure::new(
+        "adversary",
+        "scheduler-gaming co-tenants vs domain partitioning and hardened probing",
+        cells,
+        |parts, _| {
+            let mut it = parts.into_iter().map(got::<AdversaryOutcome>);
+            let mut rows = Vec::new();
+            for policy in POLICIES {
+                for guest in GUESTS {
+                    rows.push((policy, guest, it.next().unwrap()));
+                }
+            }
+            AdversaryMatrix { rows }
+        },
+    )
 }

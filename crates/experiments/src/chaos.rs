@@ -12,6 +12,7 @@
 //! while its traced invariants keep holding?
 
 use crate::common::{check_report, checked_collector, Mode, Scale};
+use crate::figure::{cell, got, Figure};
 use hostsim::{ChaosSpec, FaultPlan, HostSpec, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::time::{MS, SEC};
@@ -198,11 +199,26 @@ impl fmt::Display for Chaos {
     }
 }
 
-/// Runs the full cell pair.
-pub fn run(seed: u64, scale: Scale) -> Chaos {
-    let horizon = scale.secs(6, 20);
-    Chaos {
-        cfs: run_mode(ChaosMode::Cfs, horizon, seed),
-        vsched: run_mode(ChaosMode::VschedResilient, horizon, seed),
-    }
+/// The job: CFS and resilient vSched on the same faulted host.
+pub fn figure() -> Figure<Chaos> {
+    let cells = vec![
+        cell("cfs", |seed, scale: Scale| {
+            run_mode(ChaosMode::Cfs, scale.secs(6, 20), seed)
+        }),
+        cell("vsched-resilient", |seed, scale: Scale| {
+            run_mode(ChaosMode::VschedResilient, scale.secs(6, 20), seed)
+        }),
+    ];
+    Figure::new(
+        "chaos",
+        "graceful degradation under seed-driven fault injection",
+        cells,
+        |parts, _| {
+            let mut it = parts.into_iter().map(got::<ChaosOutcome>);
+            Chaos {
+                cfs: it.next().unwrap(),
+                vsched: it.next().unwrap(),
+            }
+        },
+    )
 }

@@ -9,7 +9,8 @@
 //! 4 ms to the next host-active vCPU, and utilization roughly doubles
 //! (paper: "the vCPU utilization is doubled").
 
-use crate::common::Scale;
+use crate::common::{check_report, checked_collector, Scale};
+use crate::figure::{cell, cell_seed, got, Figure};
 use guestos::{
     GuestOs, MigrateKind, Platform, SpawnSpec, TaskAction, TaskId, TaskState, VcpuId, Workload,
 };
@@ -135,7 +136,7 @@ impl fmt::Display for Fig03 {
     }
 }
 
-pub(crate) fn run_mode(
+fn run_mode(
     migrate: bool,
     secs: u64,
     seed: u64,
@@ -180,31 +181,40 @@ pub(crate) fn run_mode(
     }
 }
 
-/// Runs the full figure.
-pub fn run(seed: u64, scale: Scale) -> Fig03 {
-    let secs = scale.secs(5, 20);
-    Fig03 {
-        default_mode: run_mode(false, secs, seed, None),
-        migration_mode: run_mode(true, secs, seed, None),
-    }
+/// The figure: one cell per mode.
+pub fn figure() -> Figure<Fig03> {
+    let cells = vec![
+        cell("default", |seed, scale: Scale| {
+            run_mode(false, scale.secs(5, 20), seed, None)
+        }),
+        cell("migrate", |seed, scale: Scale| {
+            run_mode(true, scale.secs(5, 20), seed, None)
+        }),
+    ];
+    Figure::new(
+        "fig03",
+        "the stalled running task, with and without proactive migration",
+        cells,
+        |parts, _| {
+            let mut it = parts.into_iter().map(got::<ModeResult>);
+            Fig03 {
+                default_mode: it.next().unwrap(),
+                migration_mode: it.next().unwrap(),
+            }
+        },
+    )
 }
 
-/// Runs the figure with the streaming invariant checker attached to each
-/// machine, returning one report per mode.
+/// Runs the figure's cells under their suite seeds with the streaming
+/// invariant checker attached to each machine, returning one report per
+/// mode.
 pub fn run_checked(seed: u64, scale: Scale) -> (Fig03, Vec<trace::CheckReport>) {
     let secs = scale.secs(5, 20);
-    let c0 = crate::common::checked_collector();
-    let default_mode = run_mode(false, secs, seed, Some(&c0));
-    let c1 = crate::common::checked_collector();
-    let migration_mode = run_mode(true, secs, seed, Some(&c1));
-    (
-        Fig03 {
-            default_mode,
-            migration_mode,
-        },
-        vec![
-            crate::common::check_report(&c0),
-            crate::common::check_report(&c1),
-        ],
-    )
+    let seed = |label| cell_seed(seed, "fig03", label);
+    let cols: Vec<_> = (0..2).map(|_| checked_collector()).collect();
+    let fig = Fig03 {
+        default_mode: run_mode(false, secs, seed("default"), Some(&cols[0])),
+        migration_mode: run_mode(true, secs, seed("migrate"), Some(&cols[1])),
+    };
+    (fig, cols.iter().map(check_report).collect())
 }

@@ -10,10 +10,11 @@
 //! stacking).
 
 use crate::common::Scale;
+use crate::figure::{cell, got, Figure};
 use hostsim::{HostSpec, Machine, Pinning, ScenarioBuilder, ScriptAction, VmSpec};
 use metrics::Table;
 use simcore::time::SEC;
-use simcore::{SimRng, SimTime};
+use simcore::SimTime;
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
@@ -87,7 +88,7 @@ impl fmt::Display for Fig10 {
 }
 
 /// Runs part (a): step the real capacity of vCPU 0 and sample the EMA.
-pub(crate) fn run_capacity_tracking(seed: u64, secs: u64) -> Vec<CapSample> {
+fn run_capacity_tracking(seed: u64, secs: u64) -> Vec<CapSample> {
     let (b, vm) = ScenarioBuilder::new(HostSpec::flat(2), seed).vm(VmSpec::pinned(2, 0));
     let mut m = b.build();
     // Capacity schedule for vCPU 0 via DVFS steps on core 0 (share styles
@@ -139,7 +140,7 @@ pub(crate) fn run_capacity_tracking(seed: u64, secs: u64) -> Vec<CapSample> {
 }
 
 /// Runs part (b): probe the 8-vCPU mixed topology.
-pub(crate) fn run_matrix(seed: u64) -> Vec<Vec<f64>> {
+fn run_matrix(seed: u64) -> Vec<Vec<f64>> {
     let host = HostSpec::new(2, 2, 2);
     let (b, vm) = ScenarioBuilder::new(host, seed).vm(VmSpec {
         nr_vcpus: 8,
@@ -160,26 +161,37 @@ pub(crate) fn run_matrix(seed: u64) -> Vec<Vec<f64>> {
     vs.vtop.latency_matrix.clone()
 }
 
-/// Runs the full figure.
-pub fn run(seed: u64, scale: Scale) -> Fig10 {
-    let secs = scale.secs(75, 150);
-    let samples = run_capacity_tracking(seed, secs);
-    let matrix = run_matrix(seed);
-    // Tracking error, ignoring a 2-sample settling window after each step.
-    let _ = SimRng::new(seed);
-    let err: Vec<f64> = samples
-        .iter()
-        .filter(|s| s.actual > 0.0)
-        .map(|s| (s.ema - s.actual).abs() / s.actual)
-        .collect();
-    let tracking_error = if err.is_empty() {
-        0.0
-    } else {
-        err.iter().sum::<f64>() / err.len() as f64
-    };
-    Fig10 {
-        samples,
-        matrix,
-        tracking_error,
-    }
+/// The figure: (a) the tracking run and (b) the matrix probe.
+pub fn figure() -> Figure<Fig10> {
+    let cells = vec![
+        cell("tracking", |seed, scale: Scale| {
+            run_capacity_tracking(seed, scale.secs(75, 150))
+        }),
+        cell("matrix", |seed, _: Scale| run_matrix(seed)),
+    ];
+    Figure::new(
+        "fig10",
+        "accuracy of vcap capacity tracking and the vtop latency matrix",
+        cells,
+        |parts, _| {
+            let mut it = parts.into_iter();
+            let samples = got::<Vec<CapSample>>(it.next().unwrap());
+            let matrix = got::<Vec<Vec<f64>>>(it.next().unwrap());
+            let err: Vec<f64> = samples
+                .iter()
+                .filter(|s| s.actual > 0.0)
+                .map(|s| (s.ema - s.actual).abs() / s.actual)
+                .collect();
+            let tracking_error = if err.is_empty() {
+                0.0
+            } else {
+                err.iter().sum::<f64>() / err.len() as f64
+            };
+            Fig10 {
+                samples,
+                matrix,
+                tracking_error,
+            }
+        },
+    )
 }

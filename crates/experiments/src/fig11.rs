@@ -11,7 +11,8 @@
 //! merely *appear* stronger (steal is unobservable while idle); vcap's
 //! stable estimates remove the motive (paper: 74% fewer migrations).
 
-use crate::common::{Mode, Scale};
+use crate::common::{check_report, checked_collector, Mode, Scale};
+use crate::figure::{cell, cell_seed, got, Figure};
 use hostsim::{HostSpec, ScenarioBuilder, ScriptAction, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
@@ -95,7 +96,7 @@ impl fmt::Display for Fig11 {
     }
 }
 
-pub(crate) fn run_asym(
+fn run_asym(
     with_vcap: bool,
     secs: u64,
     seed: u64,
@@ -133,7 +134,7 @@ pub(crate) fn run_asym(
     }
 }
 
-pub(crate) fn run_sym(
+fn run_sym(
     with_vcap: bool,
     secs: u64,
     seed: u64,
@@ -161,27 +162,50 @@ pub(crate) fn run_sym(
     }
 }
 
-/// Runs the full figure.
-pub fn run(seed: u64, scale: Scale) -> Fig11 {
-    let secs = scale.secs(10, 40);
-    Fig11 {
-        asym_cfs: run_asym(false, secs, seed, None),
-        asym_vcap: run_asym(true, secs, seed, None),
-        sym_cfs: run_sym(false, secs, seed, None),
-        sym_vcap: run_sym(true, secs, seed, None),
-    }
+/// The figure: asymmetric and symmetric hosts, each under CFS and vcap.
+pub fn figure() -> Figure<Fig11> {
+    let cells = vec![
+        cell("asym/cfs", |seed, scale: Scale| {
+            run_asym(false, scale.secs(10, 40), seed, None)
+        }),
+        cell("asym/vcap", |seed, scale: Scale| {
+            run_asym(true, scale.secs(10, 40), seed, None)
+        }),
+        cell("sym/cfs", |seed, scale: Scale| {
+            run_sym(false, scale.secs(10, 40), seed, None)
+        }),
+        cell("sym/vcap", |seed, scale: Scale| {
+            run_sym(true, scale.secs(10, 40), seed, None)
+        }),
+    ];
+    Figure::new(
+        "fig11",
+        "impact of accurate vCPU capacity (vcap) on asym/sym hosts",
+        cells,
+        |parts, _| {
+            let mut it = parts.into_iter();
+            Fig11 {
+                asym_cfs: got(it.next().unwrap()),
+                asym_vcap: got(it.next().unwrap()),
+                sym_cfs: got(it.next().unwrap()),
+                sym_vcap: got(it.next().unwrap()),
+            }
+        },
+    )
 }
 
-/// Runs the figure with the streaming invariant checker attached to each
-/// machine, returning one report per configuration.
+/// Runs the figure's cells under their suite seeds with the streaming
+/// invariant checker attached to each machine, returning one report per
+/// configuration.
 pub fn run_checked(seed: u64, scale: Scale) -> (Fig11, Vec<trace::CheckReport>) {
     let secs = scale.secs(10, 40);
-    let cols: Vec<_> = (0..4).map(|_| crate::common::checked_collector()).collect();
+    let seed = |label| cell_seed(seed, "fig11", label);
+    let cols: Vec<_> = (0..4).map(|_| checked_collector()).collect();
     let fig = Fig11 {
-        asym_cfs: run_asym(false, secs, seed, Some(&cols[0])),
-        asym_vcap: run_asym(true, secs, seed, Some(&cols[1])),
-        sym_cfs: run_sym(false, secs, seed, Some(&cols[2])),
-        sym_vcap: run_sym(true, secs, seed, Some(&cols[3])),
+        asym_cfs: run_asym(false, secs, seed("asym/cfs"), Some(&cols[0])),
+        asym_vcap: run_asym(true, secs, seed("asym/vcap"), Some(&cols[1])),
+        sym_cfs: run_sym(false, secs, seed("sym/cfs"), Some(&cols[2])),
+        sym_vcap: run_sym(true, secs, seed("sym/vcap"), Some(&cols[3])),
     };
-    (fig, cols.iter().map(crate::common::check_report).collect())
+    (fig, cols.iter().map(check_report).collect())
 }

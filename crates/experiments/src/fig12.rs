@@ -15,10 +15,11 @@
 //! no Fio degradation).
 
 use crate::common::{Mode, Scale};
+use crate::figure::{cell, got, Figure};
 use guestos::TaskState;
 use hostsim::{HostSpec, Machine, Pinning, ScenarioBuilder, VmSpec};
 use metrics::Table;
-use simcore::time::{MS, SEC};
+use simcore::time::MS;
 use simcore::{SimRng, SimTime};
 use std::cell::RefCell;
 use std::fmt;
@@ -90,11 +91,14 @@ impl fmt::Display for Fig12 {
     }
 }
 
+/// Partners of Matmul in part (b).
+const PARTNERS: [&str; 2] = ["nginx", "fio"];
+
 fn smt_host() -> HostSpec {
     HostSpec::new(1, 16, 2) // 16 cores x 2 threads
 }
 
-pub(crate) fn run_underloaded(with_vtop: bool, secs: u64, seed: u64) -> ActiveCores {
+fn run_underloaded(with_vtop: bool, secs: u64, seed: u64) -> ActiveCores {
     let (b, vm) = ScenarioBuilder::new(smt_host(), seed).vm(VmSpec {
         nr_vcpus: 32,
         pinning: Pinning::OneToOne((0..32).collect()),
@@ -147,7 +151,7 @@ pub(crate) fn run_underloaded(with_vtop: bool, secs: u64, seed: u64) -> ActiveCo
     ActiveCores { histogram, mean }
 }
 
-pub(crate) fn run_mixed(partner: &'static str, with_vtop: bool, secs: u64, seed: u64) -> Mixed {
+fn run_mixed(partner: &'static str, with_vtop: bool, secs: u64, seed: u64) -> Mixed {
     let (b, vm) = ScenarioBuilder::new(smt_host(), seed).vm(VmSpec {
         nr_vcpus: 32,
         pinning: Pinning::OneToOne((0..32).collect()),
@@ -172,22 +176,42 @@ pub(crate) fn run_mixed(partner: &'static str, with_vtop: bool, secs: u64, seed:
     }
 }
 
-/// Runs the full figure.
-pub fn run(seed: u64, scale: Scale) -> Fig12 {
-    let secs = scale.secs(8, 40);
-    let _ = SEC;
-    Fig12 {
-        cores_cfs: run_underloaded(false, secs, seed),
-        cores_vtop: run_underloaded(true, secs, seed),
-        mixed: vec![
-            (
-                run_mixed("nginx", false, secs, seed),
-                run_mixed("nginx", true, secs, seed),
-            ),
-            (
-                run_mixed("fio", false, secs, seed),
-                run_mixed("fio", true, secs, seed),
-            ),
-        ],
+/// The figure: (a) the underloaded system and (b) each mixed pairing,
+/// under CFS and vtop.
+pub fn figure() -> Figure<Fig12> {
+    let mut cells = vec![
+        cell("cores/cfs", |seed, scale: Scale| {
+            run_underloaded(false, scale.secs(8, 40), seed)
+        }),
+        cell("cores/vtop", |seed, scale: Scale| {
+            run_underloaded(true, scale.secs(8, 40), seed)
+        }),
+    ];
+    for partner in PARTNERS {
+        for vtop in [false, true] {
+            cells.push(cell(
+                format!("mixed/{partner}/vtop={vtop}"),
+                move |seed, scale: Scale| run_mixed(partner, vtop, scale.secs(8, 40), seed),
+            ));
+        }
     }
+    Figure::new(
+        "fig12",
+        "SMT-aware scheduling with vtop on pinned sibling pairs",
+        cells,
+        |parts, _| {
+            let mut it = parts.into_iter();
+            let cores_cfs = got(it.next().unwrap());
+            let cores_vtop = got(it.next().unwrap());
+            let mixed = PARTNERS
+                .iter()
+                .map(|_| (got(it.next().unwrap()), got(it.next().unwrap())))
+                .collect();
+            Fig12 {
+                cores_cfs,
+                cores_vtop,
+                mixed,
+            }
+        },
+    )
 }

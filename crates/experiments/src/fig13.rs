@@ -7,6 +7,7 @@
 //! and lifting throughput (+26% on average).
 
 use crate::common::{Mode, Scale};
+use crate::figure::{cell, got, Figure};
 use hostsim::{HostSpec, Pinning, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
@@ -100,7 +101,7 @@ fn instance(
     }
 }
 
-pub(crate) fn run_cell(name: &'static str, with_vtop: bool, secs: u64, seed: u64) -> LlcCell {
+fn run_cell(name: &'static str, with_vtop: bool, secs: u64, seed: u64) -> LlcCell {
     // Two sockets x 16 cores, SMT off: vCPU i on thread i.
     let host = HostSpec::new(2, 16, 1);
     let (b, vm) = ScenarioBuilder::new(host, seed).vm(VmSpec {
@@ -130,18 +131,28 @@ pub(crate) fn run_cell(name: &'static str, with_vtop: bool, secs: u64, seed: u64
     }
 }
 
-/// Runs the full figure.
-pub fn run(seed: u64, scale: Scale) -> Fig13 {
-    let secs = scale.secs(8, 40);
-    let rows = BENCHES
-        .iter()
-        .map(|&name| {
-            (
-                name,
-                run_cell(name, false, secs, seed),
-                run_cell(name, true, secs, seed),
-            )
-        })
-        .collect();
-    Fig13 { rows }
+/// The figure: one cell per (benchmark, vtop).
+pub fn figure() -> Figure<Fig13> {
+    let mut cells = Vec::new();
+    for name in BENCHES {
+        for vtop in [false, true] {
+            cells.push(cell(
+                format!("{name}/vtop={vtop}"),
+                move |seed, scale: Scale| run_cell(name, vtop, scale.secs(8, 40), seed),
+            ));
+        }
+    }
+    Figure::new(
+        "fig13",
+        "LLC-aware co-location with vtop across two sockets",
+        cells,
+        |parts, _| {
+            let mut it = parts.into_iter().map(got::<LlcCell>);
+            let rows = BENCHES
+                .iter()
+                .map(|&name| (name, it.next().unwrap(), it.next().unwrap()))
+                .collect();
+            Fig13 { rows }
+        },
+    )
 }

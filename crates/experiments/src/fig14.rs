@@ -11,6 +11,8 @@
 //! "bvs without the state check" ablation.
 
 use crate::common::{Mode, Scale};
+use crate::figure::{cell, got, Figure};
+use crate::table3::bvs_cfg;
 use hostsim::{HostSpec, Machine, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::time::MS;
@@ -139,31 +141,38 @@ pub fn run_cell(
     handle
 }
 
-/// Runs the full figure.
-pub fn run(seed: u64, scale: Scale) -> Fig14 {
-    let secs = scale.secs(15, 60);
+/// The figure: one cell per (best-effort, benchmark, bvs).
+pub fn figure() -> Figure<Fig14> {
     let mut cells = Vec::new();
-    for &be in &[false, true] {
+    for best_effort in [false, true] {
         for bench in BENCHES {
-            for &bvs in &[false, true] {
-                let cfg = if bvs {
-                    VschedConfig {
-                        ivh: false,
-                        rwc: false,
-                        ..VschedConfig::full()
-                    }
-                } else {
-                    VschedConfig::probers_only()
-                };
-                let handle = run_cell(bench, be, cfg, secs, seed);
-                cells.push(Cell {
-                    bench,
-                    best_effort: be,
-                    bvs,
-                    p95_ns: handle.p95_ns().unwrap_or(0),
-                });
+            for bvs in [false, true] {
+                cells.push(cell(
+                    format!("{bench}/be={best_effort}/bvs={bvs}"),
+                    move |seed, scale: Scale| {
+                        let cfg = if bvs {
+                            bvs_cfg()
+                        } else {
+                            VschedConfig::probers_only()
+                        };
+                        let h = run_cell(bench, best_effort, cfg, scale.secs(15, 60), seed);
+                        Cell {
+                            bench,
+                            best_effort,
+                            bvs,
+                            p95_ns: h.p95_ns().unwrap_or(0),
+                        }
+                    },
+                ));
             }
         }
     }
-    Fig14 { cells }
+    Figure::new(
+        "fig14",
+        "p95 latency reduction with boosted vCPU scheduling (bvs)",
+        cells,
+        |parts, _| Fig14 {
+            cells: parts.into_iter().map(got::<Cell>).collect(),
+        },
+    )
 }

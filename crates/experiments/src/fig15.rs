@@ -11,6 +11,8 @@
 //! pre-waking ivh vs the direct (activity-unaware) migration ablation.
 
 use crate::common::{Mode, Scale};
+use crate::figure::{cell, got, Figure};
+use crate::table3::ivh_cfg;
 use hostsim::{HostSpec, Machine, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
@@ -135,11 +137,7 @@ fn run_cell_traced(
     let (wl, handle) = build(bench, threads, SimRng::new(seed ^ 0xE1));
     m.set_workload(vm, wl);
     let cfg = if with_ivh {
-        VschedConfig {
-            bvs: false,
-            rwc: false,
-            ..VschedConfig::full()
-        }
+        ivh_cfg()
     } else {
         VschedConfig::probers_only()
     };
@@ -150,23 +148,36 @@ fn run_cell_traced(
     handle.rate(dur)
 }
 
-/// Runs the full figure.
-pub fn run(seed: u64, scale: Scale) -> Fig15 {
-    let secs = scale.secs(8, 30);
-    let rows = BENCHES
-        .iter()
-        .map(|&bench| {
-            let cells = THREADS
+/// The figure: one cell per (benchmark, thread count, ivh).
+pub fn figure() -> Figure<Fig15> {
+    let mut cells = Vec::new();
+    for bench in BENCHES {
+        for t in THREADS {
+            for ivh in [false, true] {
+                cells.push(cell(
+                    format!("{bench}/t={t}/ivh={ivh}"),
+                    move |seed, scale: Scale| run_cell(bench, t, ivh, scale.secs(8, 30), seed),
+                ));
+            }
+        }
+    }
+    Figure::new(
+        "fig15",
+        "throughput gain from idle vCPU harvesting (ivh)",
+        cells,
+        |parts, _| {
+            let mut it = parts.into_iter().map(got::<f64>);
+            let rows = BENCHES
                 .iter()
-                .map(|&t| {
-                    (
-                        run_cell(bench, t, false, secs, seed),
-                        run_cell(bench, t, true, secs, seed),
-                    )
+                .map(|&bench| {
+                    let cells = THREADS
+                        .iter()
+                        .map(|_| (it.next().unwrap(), it.next().unwrap()))
+                        .collect();
+                    (bench, cells)
                 })
                 .collect();
-            (bench, cells)
-        })
-        .collect();
-    Fig15 { rows }
+            Fig15 { rows }
+        },
+    )
 }

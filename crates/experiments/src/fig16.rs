@@ -9,6 +9,7 @@
 //! seconds.
 
 use crate::common::{Mode, Scale};
+use crate::figure::{cell, got, Figure};
 use hostsim::{HostSpec, ScenarioBuilder, ScriptAction, VmSpec};
 use metrics::Table;
 use simcore::time::SEC;
@@ -60,7 +61,7 @@ impl fmt::Display for Fig16 {
     }
 }
 
-pub(crate) fn run_mode(mode: Mode, phase_secs: u64, seed: u64) -> Vec<f64> {
+fn run_mode(mode: Mode, phase_secs: u64, seed: u64) -> Vec<f64> {
     let (b, vm) = ScenarioBuilder::new(HostSpec::flat(16), seed).vm(VmSpec::pinned(16, 0));
     let mut m = b.build();
     let p = phase_secs;
@@ -135,13 +136,27 @@ pub(crate) fn run_mode(mode: Mode, phase_secs: u64, seed: u64) -> Vec<f64> {
     out
 }
 
-/// Runs the full figure.
-pub fn run(seed: u64, scale: Scale) -> Fig16 {
-    let phase_secs = scale.secs(10, 30);
-    let _ = SEC;
-    Fig16 {
-        cfs_series: run_mode(Mode::Cfs, phase_secs, seed),
-        vsched_series: run_mode(Mode::Vsched, phase_secs, seed),
-        phase_secs,
-    }
+/// The figure: one cell per mode.
+pub fn figure() -> Figure<Fig16> {
+    let cells = vec![
+        cell("cfs", |seed, scale: Scale| {
+            run_mode(Mode::Cfs, scale.secs(10, 30), seed)
+        }),
+        cell("vsched", |seed, scale: Scale| {
+            run_mode(Mode::Vsched, scale.secs(10, 30), seed)
+        }),
+    ];
+    Figure::new(
+        "fig16",
+        "adaptability of vSched as the host reconfigures vCPUs",
+        cells,
+        |parts, scale| {
+            let mut it = parts.into_iter().map(got::<Vec<f64>>);
+            Fig16 {
+                cfs_series: it.next().unwrap(),
+                vsched_series: it.next().unwrap(),
+                phase_secs: scale.secs(10, 30),
+            }
+        },
+    )
 }

@@ -9,6 +9,7 @@
 //! vSched imposes on the neighbours.
 
 use crate::common::{Mode, Scale};
+use crate::figure::{cell, got, Figure};
 use hostsim::{HostSpec, Machine, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::time::SEC;
@@ -69,7 +70,7 @@ struct Neighbour {
     phase: usize,
 }
 
-pub(crate) fn run_mode(mode: Mode, phase_secs: u64, seed: u64) -> ModeOutcome {
+fn run_mode(mode: Mode, phase_secs: u64, seed: u64) -> ModeOutcome {
     let threads: Vec<usize> = (0..16).collect();
     let (mut b, nginx_vm) =
         ScenarioBuilder::new(HostSpec::flat(16), seed).vm(VmSpec::floating(16, threads.clone()));
@@ -150,11 +151,26 @@ pub(crate) fn run_mode(mode: Mode, phase_secs: u64, seed: u64) -> ModeOutcome {
     }
 }
 
-/// Runs the full figure.
-pub fn run(seed: u64, scale: Scale) -> Fig17 {
-    let phase_secs = scale.secs(10, 80);
-    Fig17 {
-        cfs: run_mode(Mode::Cfs, phase_secs, seed),
-        vsched: run_mode(Mode::Vsched, phase_secs, seed),
-    }
+/// The figure: one cell per mode.
+pub fn figure() -> Figure<Fig17> {
+    let cells = vec![
+        cell("cfs", |seed, scale: Scale| {
+            run_mode(Mode::Cfs, scale.secs(10, 80), seed)
+        }),
+        cell("vsched", |seed, scale: Scale| {
+            run_mode(Mode::Vsched, scale.secs(10, 80), seed)
+        }),
+    ];
+    Figure::new(
+        "fig17",
+        "vSched in a multi-tenant host with floating sibling vCPUs",
+        cells,
+        |parts, _| {
+            let mut it = parts.into_iter().map(got::<ModeOutcome>);
+            Fig17 {
+                cfs: it.next().unwrap(),
+                vsched: it.next().unwrap(),
+            }
+        },
+    )
 }

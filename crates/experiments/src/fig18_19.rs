@@ -7,6 +7,7 @@
 //! normalized to CFS, as in the paper's bar charts.
 
 use crate::common::{Mode, Scale};
+use crate::figure::{cell, got, Figure};
 use crate::profiles::{hpvm, rcvm, Profile};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
@@ -153,35 +154,48 @@ pub fn run_cell(kind: ProfileKind, bench: &str, mode: Mode, secs: u64, seed: u64
     }
 }
 
-/// Runs the full figure for one profile, optionally restricted to a subset
-/// of benchmarks (used by quick tests).
-pub fn run_subset(kind: ProfileKind, benches: &[&'static str], seed: u64, scale: Scale) -> Overall {
-    let secs = scale.secs(6, 25);
-    let rows = benches
-        .iter()
-        .map(|&bench| {
-            let cfs = run_cell(kind, bench, Mode::Cfs, secs, seed);
-            let ecfs = run_cell(kind, bench, Mode::EnhancedCfs, secs, seed);
-            let vs = run_cell(kind, bench, Mode::Vsched, secs, seed);
-            Row {
-                bench,
-                latency: is_latency_bench(bench),
-                values: (cfs, ecfs, vs),
-            }
-        })
-        .collect();
-    Overall {
-        profile: kind,
-        rows,
-    }
-}
-
-/// Runs the full 31-workload figure.
-pub fn run(kind: ProfileKind, seed: u64, scale: Scale) -> Overall {
-    let benches: Vec<&'static str> = THROUGHPUT_BENCHES
+/// Every suite workload, throughput then latency.
+fn benches() -> impl Iterator<Item = &'static str> {
+    THROUGHPUT_BENCHES
         .iter()
         .chain(LATENCY_BENCHES.iter())
         .copied()
-        .collect();
-    run_subset(kind, &benches, seed, scale)
+}
+
+/// The figure for one profile (Figure 18 on rcvm, Figure 19 on hpvm): one
+/// cell per (workload, mode).
+pub fn figure(kind: ProfileKind) -> Figure<Overall> {
+    let (name, desc) = match kind {
+        ProfileKind::Rcvm => (
+            "fig18",
+            "overall improvement with vSched on the resource-constrained VM",
+        ),
+        ProfileKind::Hpvm => (
+            "fig19",
+            "overall improvement with vSched on the high-performance VM",
+        ),
+    };
+    let mut cells = Vec::new();
+    for bench in benches() {
+        for mode in [Mode::Cfs, Mode::EnhancedCfs, Mode::Vsched] {
+            cells.push(cell(
+                format!("{bench}/{}", mode.label()),
+                move |seed, scale: Scale| run_cell(kind, bench, mode, scale.secs(6, 25), seed),
+            ));
+        }
+    }
+    Figure::new(name, desc, cells, move |parts, _| {
+        let mut it = parts.into_iter().map(got::<f64>);
+        let rows = benches()
+            .map(|bench| Row {
+                bench,
+                latency: is_latency_bench(bench),
+                values: (it.next().unwrap(), it.next().unwrap(), it.next().unwrap()),
+            })
+            .collect();
+        Overall {
+            profile: kind,
+            rows,
+        }
+    })
 }

@@ -8,6 +8,7 @@
 
 use crate::common::{Mode, Scale};
 use crate::fig18_19::ProfileKind;
+use crate::figure::{cell, got, Figure};
 use crate::profiles::{hpvm, rcvm};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
@@ -23,6 +24,9 @@ pub const BENCHES: [&str; 6] = [
     "specjbb",
     "sphinx",
 ];
+
+/// The profiles, in figure order.
+const KINDS: [ProfileKind; 2] = [ProfileKind::Hpvm, ProfileKind::Rcvm];
 
 /// One cell: cycles and CPS.
 #[derive(Debug, Clone, Copy)]
@@ -57,7 +61,7 @@ impl fmt::Display for Fig20 {
     }
 }
 
-pub(crate) fn run_cell(kind: ProfileKind, bench: &str, mode: Mode, secs: u64, seed: u64) -> Cost {
+fn run_cell(kind: ProfileKind, bench: &str, mode: Mode, secs: u64, seed: u64) -> Cost {
     let mut p = match kind {
         ProfileKind::Rcvm => rcvm(seed),
         ProfileKind::Hpvm => hpvm(seed),
@@ -75,16 +79,32 @@ pub(crate) fn run_cell(kind: ProfileKind, bench: &str, mode: Mode, secs: u64, se
     }
 }
 
-/// Runs the full figure.
-pub fn run(seed: u64, scale: Scale) -> Fig20 {
-    let secs = scale.secs(6, 25);
-    let mut rows = Vec::new();
-    for kind in [ProfileKind::Hpvm, ProfileKind::Rcvm] {
-        for &bench in &BENCHES {
-            let cfs = run_cell(kind, bench, Mode::Cfs, secs, seed);
-            let vs = run_cell(kind, bench, Mode::Vsched, secs, seed);
-            rows.push((kind, bench, cfs, vs));
+/// The figure: one cell per (profile, benchmark, mode).
+pub fn figure() -> Figure<Fig20> {
+    let mut cells = Vec::new();
+    for kind in KINDS {
+        for bench in BENCHES {
+            for mode in [Mode::Cfs, Mode::Vsched] {
+                cells.push(cell(
+                    format!("{kind:?}/{bench}/{}", mode.label()),
+                    move |seed, scale: Scale| run_cell(kind, bench, mode, scale.secs(6, 25), seed),
+                ));
+            }
         }
     }
-    Fig20 { rows }
+    Figure::new(
+        "fig20",
+        "cost of vSched: total cycles and cycles per second",
+        cells,
+        |parts, _| {
+            let mut it = parts.into_iter().map(got::<Cost>);
+            let mut rows = Vec::new();
+            for kind in KINDS {
+                for bench in BENCHES {
+                    rows.push((kind, bench, it.next().unwrap(), it.next().unwrap()));
+                }
+            }
+            Fig20 { rows }
+        },
+    )
 }

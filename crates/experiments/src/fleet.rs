@@ -13,6 +13,7 @@
 //! (overcommit cap respected, every admitted VM placed at most once).
 
 use crate::common::Scale;
+use crate::figure::{cell, got, Figure};
 use ::fleet::{policy_by_name, Cluster, FleetSpec, GuestMode, POLICIES};
 use metrics::Table;
 use std::fmt;
@@ -169,16 +170,33 @@ impl fmt::Display for Fleet {
     }
 }
 
-/// Runs the full 3-policy cell grid serially (the legacy entry point; the
-/// suite shards the same grid through the runner, one cell per policy).
-pub fn run(seed: u64, scale: Scale) -> Fleet {
-    let horizon = scale.secs(4, 16);
-    let rows = POLICIES
+/// The job: one cell per placement policy. Each replays the identical
+/// churn schedule under CFS guests and under vSched guests (same cell
+/// seed), so the comparison inside a cell is apples-to-apples and the job
+/// still shards across policies.
+pub fn figure() -> Figure<Fleet> {
+    let cells = POLICIES
         .iter()
         .map(|&policy| {
-            let (cfs, vs) = run_cell(policy, horizon, seed);
-            (policy, cfs, vs)
+            cell(policy, move |seed, scale: Scale| {
+                run_cell(policy, scale.secs(4, 16), seed)
+            })
         })
         .collect();
-    Fleet { rows }
+    Figure::new(
+        "fleet",
+        "CFS vs vSched guests on a churned multi-host cluster, per placement policy",
+        cells,
+        |parts, _| {
+            let mut it = parts.into_iter().map(got::<(FleetOutcome, FleetOutcome)>);
+            let rows = POLICIES
+                .iter()
+                .map(|&policy| {
+                    let (cfs, vs) = it.next().unwrap();
+                    (policy, cfs, vs)
+                })
+                .collect();
+            Fleet { rows }
+        },
+    )
 }

@@ -19,6 +19,7 @@
 //! conserved across each migration, every recovery timed).
 
 use crate::common::Scale;
+use crate::figure::{cell, got, Figure};
 use crate::fleet::{HOSTS, THREADS_PER_HOST};
 use ::fleet::{
     day_seed, policy_by_name, profile_by_name, spec_for_trace, synthesize, Cluster, FleetChaosPlan,
@@ -253,24 +254,40 @@ impl fmt::Display for FleetChaos {
     }
 }
 
-/// Runs the full policy × guest-config grid serially (legacy entry
-/// point; the suite shards the same grid one cell per pair).
-pub fn run(seed: u64, scale: Scale) -> FleetChaos {
-    let horizon = scale.secs(4, 16);
-    let rows = POLICIES
-        .iter()
-        .map(|&policy| {
-            let outs: Vec<FleetChaosOutcome> = GUEST_CONFIGS
-                .iter()
-                .map(|&g| run_cell(policy, g, horizon, seed))
-                .collect();
-            (policy, outs.try_into().expect("three guest configs"))
-        })
-        .collect();
-    FleetChaos {
-        faults: plan_for(horizon).events.len(),
-        rows,
+/// The job: one cell per (policy, guest config). Every cell replays the
+/// same faulted day — trace pinned by the profile's day_seed, failures by
+/// [`chaos_day_seed`] — so rows differ only in scheduler and migration
+/// mode; the footer reports the handoff-vs-cold ablation per policy.
+pub fn figure() -> Figure<FleetChaos> {
+    let mut cells = Vec::new();
+    for &policy in POLICIES.iter() {
+        for g in GUEST_CONFIGS {
+            cells.push(cell(
+                format!("{policy}/{}", g.label()),
+                move |seed, scale: Scale| run_cell(policy, g, scale.secs(4, 16), seed),
+            ));
+        }
     }
+    Figure::new(
+        "fleet-chaos",
+        "host-failure chaos, evacuation, and degraded mode on a replayed faulted day",
+        cells,
+        |parts, scale| {
+            let mut it = parts.into_iter().map(got::<FleetChaosOutcome>);
+            let rows = POLICIES
+                .iter()
+                .map(|&policy| {
+                    let outs: Vec<FleetChaosOutcome> =
+                        GUEST_CONFIGS.iter().map(|_| it.next().unwrap()).collect();
+                    (policy, outs.try_into().expect("three guest configs"))
+                })
+                .collect();
+            FleetChaos {
+                faults: plan_for(scale.secs(4, 16)).events.len(),
+                rows,
+            }
+        },
+    )
 }
 
 #[cfg(test)]

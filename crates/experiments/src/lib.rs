@@ -1,15 +1,17 @@
-//! Experiment harness: one driver per table and figure of the vSched paper.
+//! Experiment harness: one [`figure::Figure`] per table and figure of the
+//! vSched paper.
 //!
 //! Every module reproduces one piece of the paper's evaluation (§2.3 and
 //! §5): it builds the scenario on the simulated host, runs it under the
-//! relevant scheduler configurations, and returns a typed result whose
-//! `Display` prints the same rows/series the paper reports. The bench
-//! targets in `crates/bench` are thin wrappers over these drivers, and the
-//! integration tests assert the paper's *shape* claims (who wins, by
-//! roughly what factor).
+//! relevant scheduler configurations, and reduces the cells into a typed
+//! result whose `Display` prints the same rows/series the paper reports.
+//! Each module's `figure()` is the only definition of its cells and
+//! reduction: the `suite` binary runs it through [`runner`], and the
+//! integration tests run the same cells through [`figure::Figure::run`] to
+//! assert the paper's *shape* claims (who wins, by roughly what factor).
 //!
-//! Durations honour the `VSCHED_SCALE` environment variable
-//! (`quick`/`paper`); see [`common::Scale`].
+//! Durations follow a [`common::Scale`]; the binaries read it from the
+//! `VSCHED_SCALE` environment variable (`smoke`/`quick`/`paper`).
 
 pub mod adversary;
 pub mod chaos;
@@ -29,6 +31,7 @@ pub mod fig17;
 pub mod fig18_19;
 pub mod fig20;
 pub mod fig21;
+pub mod figure;
 pub mod fleet;
 pub mod fleet_chaos;
 pub mod oracle;

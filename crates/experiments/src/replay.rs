@@ -14,6 +14,7 @@
 //! [`ChurnModel::Trace`]: ::fleet::ChurnModel::Trace
 
 use crate::common::Scale;
+use crate::figure::{cell, got, Figure};
 use crate::fleet::{HOSTS, THREADS_PER_HOST};
 use ::fleet::{
     day_seed, policy_by_name, profile_by_name, spec_for_trace, synthesize, Cluster, GuestMode,
@@ -151,16 +152,34 @@ impl fmt::Display for Replay {
     }
 }
 
-/// Runs the full profile × policy grid serially (legacy entry point; the
-/// suite shards the same grid one cell per `(profile, policy)`).
-pub fn run(seed: u64, scale: Scale) -> Replay {
-    let horizon = scale.secs(4, 16);
-    let mut rows = Vec::new();
+/// The job: one cell per (generator profile, placement policy). The day
+/// is pinned by the profile's canonical day_seed — not the cell seed — so
+/// every cell in a profile replays the identical generated trace; within a
+/// cell, CFS and vSched guests run it back to back.
+pub fn figure() -> Figure<Replay> {
+    let mut cells = Vec::new();
     for profile in profile_names() {
         for &policy in POLICIES.iter() {
-            let (cfs, vs) = run_cell(policy, profile, horizon, seed);
-            rows.push((profile, policy, cfs, vs));
+            cells.push(cell(
+                format!("{profile}/{policy}"),
+                move |seed, scale: Scale| run_cell(policy, profile, scale.secs(4, 16), seed),
+            ));
         }
     }
-    Replay { rows }
+    Figure::new(
+        "fleet-replay",
+        "placement policies x guest modes over one replayed SAP-shaped day per profile",
+        cells,
+        |parts, _| {
+            let mut it = parts.into_iter().map(got::<(ReplayOutcome, ReplayOutcome)>);
+            let mut rows = Vec::new();
+            for profile in profile_names() {
+                for &policy in POLICIES.iter() {
+                    let (cfs, vs) = it.next().unwrap();
+                    rows.push((profile, policy, cfs, vs));
+                }
+            }
+            Replay { rows }
+        },
+    )
 }

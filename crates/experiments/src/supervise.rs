@@ -27,7 +27,7 @@
 //! merges and renders exactly as in a clean run.
 
 use crate::common::Scale;
-use crate::runner::{CellSpec, Part};
+use crate::figure::{CellSpec, Part};
 use simcore::json::Json;
 use std::cell::Cell as StdCell;
 use std::fmt;
@@ -279,7 +279,7 @@ pub fn run_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::cell;
+    use crate::figure::cell;
 
     fn policy(retries: u32, deadline_ms: Option<u64>) -> SupervisePolicy {
         SupervisePolicy {

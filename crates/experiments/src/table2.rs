@@ -8,6 +8,7 @@
 //! waiting out the transfer timeout.
 
 use crate::common::Scale;
+use crate::figure::{cell, got, Figure};
 use crate::profiles::{hpvm, rcvm, Profile};
 use metrics::{fmt_ns, Table};
 use simcore::SimTime;
@@ -48,7 +49,7 @@ impl fmt::Display for Table2 {
     }
 }
 
-pub(crate) fn measure(mut p: Profile, secs: u64) -> (u64, u64) {
+fn measure(mut p: Profile, secs: u64) -> (u64, u64) {
     let vm = p.vm;
     // A light background so the system resembles the evaluation setting.
     let (wl, _s) = Stressor::new(2, work_ms(5.0));
@@ -65,15 +66,30 @@ pub(crate) fn measure(mut p: Profile, secs: u64) -> (u64, u64) {
     )
 }
 
-/// Runs the table.
-pub fn run(seed: u64, scale: Scale) -> Table2 {
-    let secs = scale.secs(12, 30);
-    let (rcvm_full_ns, rcvm_validate_ns) = measure(rcvm(seed), secs);
-    let (hpvm_full_ns, hpvm_validate_ns) = measure(hpvm(seed), secs);
-    Table2 {
-        rcvm_full_ns,
-        rcvm_validate_ns,
-        hpvm_full_ns,
-        hpvm_validate_ns,
-    }
+/// The table: one cell per VM profile.
+pub fn figure() -> Figure<Table2> {
+    let cells = vec![
+        cell("rcvm", |seed, scale: Scale| {
+            measure(rcvm(seed), scale.secs(12, 30))
+        }),
+        cell("hpvm", |seed, scale: Scale| {
+            measure(hpvm(seed), scale.secs(12, 30))
+        }),
+    ];
+    Figure::new(
+        "table2",
+        "vtop probing time: full probe vs validation pass",
+        cells,
+        |parts, _| {
+            let mut it = parts.into_iter().map(got::<(u64, u64)>);
+            let (rcvm_full_ns, rcvm_validate_ns) = it.next().unwrap();
+            let (hpvm_full_ns, hpvm_validate_ns) = it.next().unwrap();
+            Table2 {
+                rcvm_full_ns,
+                rcvm_validate_ns,
+                hpvm_full_ns,
+                hpvm_validate_ns,
+            }
+        },
+    )
 }

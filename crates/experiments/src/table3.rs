@@ -8,6 +8,7 @@
 
 use crate::common::Scale;
 use crate::fig14::run_cell;
+use crate::figure::{cell, got, Figure};
 use metrics::Table;
 use std::fmt;
 use vsched::VschedConfig;
@@ -25,7 +26,7 @@ pub struct Breakdown {
 }
 
 impl Breakdown {
-    pub(crate) fn from_handle(h: &Handle) -> Breakdown {
+    fn from_handle(h: &Handle) -> Breakdown {
         match h {
             Handle::Latency(s) => {
                 let s = s.borrow();
@@ -88,6 +89,8 @@ impl fmt::Display for Table3 {
     }
 }
 
+/// vProbers plus bvs: the bvs-enabled configuration of Figure 14 and
+/// Table 3.
 pub(crate) fn bvs_cfg() -> VschedConfig {
     VschedConfig {
         ivh: false,
@@ -96,22 +99,50 @@ pub(crate) fn bvs_cfg() -> VschedConfig {
     }
 }
 
-/// Runs the table.
-pub fn run(seed: u64, scale: Scale) -> Table3 {
-    let secs = scale.secs(15, 60);
-    let cell = |be: bool, cfg: VschedConfig| -> Breakdown {
-        let h = run_cell("masstree", be, cfg, secs, seed);
-        Breakdown::from_handle(&h)
-    };
-    Table3 {
-        no_be: (
-            cell(false, VschedConfig::probers_only()),
-            cell(false, bvs_cfg()),
-        ),
-        with_be: (
-            cell(true, VschedConfig::probers_only()),
-            cell(true, bvs_cfg().without_bvs_state_check()),
-            cell(true, bvs_cfg()),
-        ),
+/// vProbers plus ivh: the ivh-enabled configuration of Figure 15 and
+/// Table 4.
+pub(crate) fn ivh_cfg() -> VschedConfig {
+    VschedConfig {
+        bvs: false,
+        rwc: false,
+        ..VschedConfig::full()
     }
+}
+
+/// The table: Masstree under each bvs configuration, with and without
+/// best-effort tasks.
+pub fn figure() -> Figure<Table3> {
+    let configs = [
+        ("no-be/no-bvs", false, VschedConfig::probers_only()),
+        ("no-be/bvs", false, bvs_cfg()),
+        ("be/no-bvs", true, VschedConfig::probers_only()),
+        (
+            "be/bvs-no-state-check",
+            true,
+            bvs_cfg().without_bvs_state_check(),
+        ),
+        ("be/bvs", true, bvs_cfg()),
+    ];
+    let cells = configs
+        .into_iter()
+        .map(|(label, be, cfg)| {
+            cell(label, move |seed, scale: Scale| {
+                let h = run_cell("masstree", be, cfg.clone(), scale.secs(15, 60), seed);
+                Breakdown::from_handle(&h)
+            })
+        })
+        .collect();
+    Figure::new(
+        "table3",
+        "Masstree p95 latency breakdown under bvs",
+        cells,
+        |parts, _| {
+            let mut it = parts.into_iter().map(got::<Breakdown>);
+            let mut next = || it.next().unwrap();
+            Table3 {
+                no_be: (next(), next()),
+                with_be: (next(), next(), next()),
+            }
+        },
+    )
 }

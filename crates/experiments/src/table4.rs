@@ -8,10 +8,11 @@
 
 use crate::common::{Mode, Scale};
 use crate::fig15::build_machine;
+use crate::figure::{cell, got, Figure};
+use crate::table3::ivh_cfg;
 use metrics::Table;
 use simcore::{SimRng, SimTime};
 use std::fmt;
-use vsched::VschedConfig;
 use workloads::build;
 
 /// Thread counts swept (as in the paper's Table 4).
@@ -67,20 +68,11 @@ impl fmt::Display for Table4 {
     }
 }
 
-pub(crate) fn run_cell(
-    threads: usize,
-    prewake: bool,
-    secs: u64,
-    seed: u64,
-) -> (f64, (u64, u64, u64)) {
+fn run_cell(threads: usize, prewake: bool, secs: u64, seed: u64) -> (f64, (u64, u64, u64)) {
     let (mut m, vm) = build_machine(seed);
     let (wl, handle) = build("canneal", threads, SimRng::new(seed ^ 0xE2));
     m.set_workload(vm, wl);
-    let mut cfg = VschedConfig {
-        bvs: false,
-        rwc: false,
-        ..VschedConfig::full()
-    };
+    let mut cfg = ivh_cfg();
     if !prewake {
         cfg = cfg.without_ivh_prewake();
     }
@@ -99,19 +91,37 @@ pub(crate) fn run_cell(
     )
 }
 
-/// Runs the table.
-pub fn run(seed: u64, scale: Scale) -> Table4 {
-    let secs = scale.secs(8, 30);
+/// The table: one cell per (thread count, pre-waking).
+pub fn figure() -> Figure<Table4> {
     let mut cells = Vec::new();
-    let mut aware_stats = (0, 0, 0);
-    for &t in &THREADS {
-        let (unaware, _) = run_cell(t, false, secs, seed);
-        let (aware, st) = run_cell(t, true, secs, seed);
-        if t == 1 {
-            // Report harvest statistics where harvesting actually happens.
-            aware_stats = st;
+    for t in THREADS {
+        for prewake in [false, true] {
+            cells.push(cell(
+                format!("t={t}/aware={prewake}"),
+                move |seed, scale: Scale| run_cell(t, prewake, scale.secs(8, 30), seed),
+            ));
         }
-        cells.push((unaware, aware));
     }
-    Table4 { cells, aware_stats }
+    Figure::new(
+        "table4",
+        "canneal throughput: activity-aware vs unaware ivh pre-waking",
+        cells,
+        |parts, _| {
+            type Cell4 = (f64, (u64, u64, u64));
+            let mut it = parts.into_iter().map(got::<Cell4>);
+            let mut cells = Vec::new();
+            let mut aware_stats = (0, 0, 0);
+            for t in THREADS {
+                let (unaware, _) = it.next().unwrap();
+                let (aware, st) = it.next().unwrap();
+                if t == 1 {
+                    // Report harvest statistics where harvesting actually
+                    // happens.
+                    aware_stats = st;
+                }
+                cells.push((unaware, aware));
+            }
+            Table4 { cells, aware_stats }
+        },
+    )
 }

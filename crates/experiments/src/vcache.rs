@@ -19,6 +19,7 @@
 //! the quiet socket completes at the un-evicted miss rate.
 
 use crate::common::{check_report, checked_collector, Mode, Scale};
+use crate::figure::{cell, got, Figure};
 use hostsim::{HostSpec, Pinning, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
@@ -156,7 +157,7 @@ fn instance(
     }
 }
 
-pub(crate) fn run_cell(name: &'static str, mode: &'static str, secs: u64, seed: u64) -> VcacheCell {
+fn run_cell(name: &'static str, mode: &'static str, secs: u64, seed: u64) -> VcacheCell {
     // Two sockets x 16 cores, SMT off. The victim spans both sockets;
     // the thrasher owns half of socket 1 (threads 16..24).
     let host = HostSpec::new(2, 16, 1);
@@ -213,22 +214,29 @@ pub(crate) fn run_cell(name: &'static str, mode: &'static str, secs: u64, seed: 
     }
 }
 
-/// Runs the full figure.
-pub fn run(seed: u64, scale: Scale) -> VcacheFig {
-    let secs = scale.secs(8, 40);
-    let rows = BENCHES
-        .iter()
-        .map(|&name| {
-            (
-                name,
-                MODES
-                    .iter()
-                    .map(|&mode| run_cell(name, mode, secs, seed))
-                    .collect(),
-            )
-        })
-        .collect();
-    VcacheFig { rows }
+/// The figure: one cell per (benchmark, mode).
+pub fn figure() -> Figure<VcacheFig> {
+    let mut cells = Vec::new();
+    for name in BENCHES {
+        for mode in MODES {
+            cells.push(cell(format!("{name}/{mode}"), move |seed, scale: Scale| {
+                run_cell(name, mode, scale.secs(8, 40), seed)
+            }));
+        }
+    }
+    Figure::new(
+        "vcache",
+        "cache-aware bvs vs stock vSched under an LLC-thrashing neighbour",
+        cells,
+        |parts, _| {
+            let mut it = parts.into_iter().map(got::<VcacheCell>);
+            let rows = BENCHES
+                .iter()
+                .map(|&name| (name, MODES.iter().map(|_| it.next().unwrap()).collect()))
+                .collect();
+            VcacheFig { rows }
+        },
+    )
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! order, so worker count and completion order must be unobservable.
 
 use experiments::runner::{run_suite, SuiteOptions};
-use experiments::Scale;
+use experiments::{fig03, fig10, fig11, table2, Scale};
 
 fn outputs(jobs: usize, filter: &str) -> Vec<(&'static str, String)> {
     let res = run_suite(&SuiteOptions {
@@ -71,4 +71,31 @@ fn seed_changes_the_output() {
     })
     .expect("filter matches");
     assert_ne!(a.reports[0].output, b.reports[0].output);
+}
+
+#[test]
+fn typed_figure_run_is_the_suite_path() {
+    // A figure's serial typed run executes the suite's cells under the
+    // suite's per-cell seeds, so its rendering is the suite's report byte
+    // for byte: tests asserting on the typed result check the numbers the
+    // suite prints. The checked runs replay the same cells with the
+    // invariant checker attached.
+    let typed = [
+        ("fig03", fig03::figure().run(42, Scale::Smoke).to_string()),
+        ("fig10", fig10::figure().run(42, Scale::Smoke).to_string()),
+        ("fig11", fig11::figure().run(42, Scale::Smoke).to_string()),
+        ("table2", table2::figure().run(42, Scale::Smoke).to_string()),
+    ];
+    let suite = outputs(2, "fig03,fig10,fig11,table2");
+    assert_eq!(suite.len(), typed.len());
+    for ((name, typed), (job, report)) in typed.iter().zip(&suite) {
+        assert_eq!(name, job);
+        assert_eq!(typed, report, "{name}: typed run diverged from the suite");
+    }
+    let checked = [
+        fig03::run_checked(42, Scale::Smoke).0.to_string(),
+        fig11::run_checked(42, Scale::Smoke).0.to_string(),
+    ];
+    assert_eq!(checked[0], suite[0].1, "fig03: checked run diverged");
+    assert_eq!(checked[1], suite[2].1, "fig11: checked run diverged");
 }

@@ -9,7 +9,7 @@ use vsched_repro::experiments::{fig03, fig04, fig11, fig14, table2, table3, tabl
 #[test]
 fn stalled_running_task_doubles_utilization_with_migration() {
     // Figure 3: proactive migration roughly doubles vCPU utilization.
-    let r = fig03::run(42, Scale::Quick);
+    let r = fig03::figure().run(42, Scale::Quick);
     assert!(
         (0.45..0.55).contains(&r.default_mode.utilization),
         "default utilization {:.2}",
@@ -25,7 +25,7 @@ fn stalled_running_task_doubles_utilization_with_migration() {
 #[test]
 fn relaxing_work_conservation_beats_straggler_and_priority_inversion() {
     // Figure 4: non-work-conserving placement wins on problematic vCPUs.
-    let r = fig04::run(42, Scale::Quick);
+    let r = fig04::figure().run(42, Scale::Quick);
     // Straggler: at least one sync-intensive benchmark improves >30%
     // (paper: up to 43%).
     assert!(
@@ -60,7 +60,7 @@ fn relaxing_work_conservation_beats_straggler_and_priority_inversion() {
 #[test]
 fn vtop_probes_within_a_second_and_validates_faster() {
     // Table 2: sub-second probing; validation faster than full probing.
-    let t = table2::run(42, Scale::Quick);
+    let t = table2::figure().run(42, Scale::Quick);
     for (label, ns) in [
         ("rcvm-full", t.rcvm_full_ns),
         ("rcvm-validate", t.rcvm_validate_ns),
@@ -83,7 +83,7 @@ fn vtop_probes_within_a_second_and_validates_faster() {
 fn vcap_steers_to_high_capacity_vcpus_and_calms_migrations() {
     // Figure 11: the paper reports 44%→81% high-capacity residency with a
     // 32% throughput gain, and 74% fewer migrations on symmetric hosts.
-    let r = fig11::run(42, Scale::Quick);
+    let r = fig11::figure().run(42, Scale::Quick);
     assert!(
         r.asym_vcap.high_cap_fraction > r.asym_cfs.high_cap_fraction + 0.25,
         "high-cap residency: CFS {:.0}% vs vcap {:.0}%",
@@ -107,7 +107,7 @@ fn vcap_steers_to_high_capacity_vcpus_and_calms_migrations() {
 #[test]
 fn bvs_reduces_tail_latency() {
     // Figure 14: bvs cuts p95 (paper: 42% on average).
-    let r = fig14::run(42, Scale::Quick);
+    let r = fig14::figure().run(42, Scale::Quick);
     let mean = r.mean_reduction();
     assert!(
         mean > 0.15,
@@ -120,7 +120,7 @@ fn bvs_reduces_tail_latency() {
 fn bvs_state_check_helps_with_best_effort_tasks() {
     // Table 3's ablation: with best-effort tasks, full bvs beats both no
     // bvs and the no-state-check variant on queue time.
-    let t = table3::run(42, Scale::Quick);
+    let t = table3::figure().run(42, Scale::Quick);
     let (no_bvs, _no_state, bvs) = t.with_be;
     assert!(
         bvs.e2e_ns < no_bvs.e2e_ns,
@@ -133,7 +133,7 @@ fn bvs_state_check_helps_with_best_effort_tasks() {
 #[test]
 fn ivh_prewake_beats_direct_migration_at_low_thread_counts() {
     // Table 4: activity-aware migration wins where harvesting happens.
-    let t = table4::run(42, Scale::Quick);
+    let t = table4::figure().run(42, Scale::Quick);
     assert!(
         t.speedup(0) > 1.1,
         "1-thread speedup {:.2}x (paper: ~1.17x)",

@@ -9,7 +9,7 @@ use vsched_repro::simcore::{SimRng, SimTime};
 
 #[test]
 fn ema_capacity_tracks_the_trend() {
-    let r = fig10::run(42, Scale::Quick);
+    let r = fig10::figure().run(42, Scale::Quick);
     // The estimate follows each step within a few sampling periods; over
     // the run the mean error stays moderate (the EMA trades lag for
     // smoothness by design).
@@ -30,7 +30,7 @@ fn ema_capacity_tracks_the_trend() {
 
 #[test]
 fn probed_latency_matrix_shows_figure_10b_bands() {
-    let r = fig10::run(43, Scale::Quick);
+    let r = fig10::figure().run(43, Scale::Quick);
     let m = &r.matrix;
     // SMT pair (0,1): single-digit ns.
     assert!(m[0][1] > 0.0 && m[0][1] < 20.0, "smt {}", m[0][1]);

@@ -52,7 +52,7 @@ fn tracing_does_not_perturb_the_simulation() {
     // Bit-identical figure results with the sink off (the default) and
     // with a full collector attached: emitting must never branch the
     // simulation.
-    let plain = fig03::run(7, Scale::Quick);
+    let plain = fig03::figure().run(7, Scale::Quick);
     let (checked, _) = fig03::run_checked(7, Scale::Quick);
     assert_eq!(
         plain.default_mode.utilization.to_bits(),
