@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, the tier-1 build + test suite, the
 # golden smoke-suite output, serial-vs-parallel determinism gates,
-# randomized invariant sweeps, shrink/replay and supervision smokes, and a
-# bench harness regeneration pass. Everything here must pass without
-# network access.
+# randomized invariant sweeps, shrink/replay and supervision smokes, and the
+# benchmark harness's own tests. Everything here must pass without network
+# access, and a run leaves the working tree clean.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -22,6 +22,11 @@ echo "== golden: smoke suite stdout vs tests/golden/suite_smoke_seed42.txt"
 # behaviour change regenerates the file with this command and says why in
 # CHANGES.md.
 ./target/release/suite --scale smoke --seed 42 --no-ckpt 2>/dev/null \
+    | diff tests/golden/suite_smoke_seed42.txt -
+
+echo "== golden, serial: the same suite at --jobs 1"
+# All 24 jobs on one worker must print the pooled run's bytes.
+./target/release/suite --scale smoke --seed 42 --no-ckpt --jobs 1 2>/dev/null \
     | diff tests/golden/suite_smoke_seed42.txt -
 
 echo "== determinism: serial vs parallel byte-identity"
@@ -158,7 +163,10 @@ VSCHED_SCALE=smoke ./target/release/suite --filter fig03,fig11 --jobs 2 --seed 4
     --ckpt-dir "$tmpdir/resume_ckpt" --resume > "$tmpdir/resumed.txt" 2>/dev/null
 diff "$tmpdir/clean2.txt" "$tmpdir/resumed.txt"
 
-echo "== regenerate BENCH_vsched.json (quick scale)"
-./target/release/vsched-bench
+echo "== perfbench harness tests"
+# Builds into the directory perfbench/run.py uses, so a crate API change
+# that breaks the harness fails here rather than in a benchmark run.
+CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline \
+    --manifest-path perfbench/harness/Cargo.toml
 
 echo "CI OK"

@@ -37,17 +37,6 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// FNV-1a over the output bytes; guards a checkpointed job file against
-/// truncation or manual edits.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The run configuration a checkpoint is keyed on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CkptKey {
@@ -83,6 +72,8 @@ impl CkptKey {
 struct JobEntry {
     file: String,
     bytes: u64,
+    /// FNV-1a of the output bytes; guards the job file against
+    /// truncation or manual edits.
     fnv: u64,
 }
 
@@ -208,7 +199,9 @@ impl Checkpoint {
     pub fn load(&self, job: &str) -> Option<String> {
         let entry = self.jobs.get(job)?;
         let bytes = fs::read(self.dir.join(&entry.file)).ok()?;
-        if bytes.len() as u64 != entry.bytes || fnv64(&bytes) != entry.fnv {
+        let intact = bytes.len() as u64 == entry.bytes
+            && simcore::fnv1a64(bytes.iter().copied()) == entry.fnv;
+        if !intact {
             return None;
         }
         String::from_utf8(bytes).ok()
@@ -225,7 +218,7 @@ impl Checkpoint {
             JobEntry {
                 file,
                 bytes: output.len() as u64,
-                fnv: fnv64(output.as_bytes()),
+                fnv: simcore::fnv1a64(output.bytes()),
             },
         );
         self.write_manifest()

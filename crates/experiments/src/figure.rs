@@ -63,15 +63,12 @@ pub(crate) fn got<T: Any>(p: Part) -> T {
 /// base seed through a splitmix64 mix. Depends only on the cell's identity,
 /// never on scheduling, worker count, or completion order.
 pub fn cell_seed(base: u64, figure: &str, label: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in figure
-        .bytes()
-        .chain(std::iter::once(0xff))
-        .chain(label.bytes())
-    {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let h = simcore::fnv1a64(
+        figure
+            .bytes()
+            .chain(std::iter::once(0xff))
+            .chain(label.bytes()),
+    );
     let mut z = h ^ base.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -186,12 +186,7 @@ pub fn profile_by_name(name: &str) -> Option<&'static Profile> {
 /// name. Deliberately independent of suite cell seeds — a replayed day
 /// is *one fixed day*, identical for every policy and guest mode.
 pub fn day_seed(profile_name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in profile_name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    simcore::fnv1a64(profile_name.bytes())
 }
 
 fn draw_tier(rng: &mut SimRng, weights: &[u64; 3]) -> PriorityClass {

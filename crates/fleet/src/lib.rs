@@ -7,14 +7,13 @@
 //! This crate layers that on the existing stack:
 //!
 //! * [`cluster`] — a [`Cluster`] owning N [`hostsim::Machine`]s stepped in
-//!   lockstep on the virtual clock ([`hostsim::Machine::step_until`]),
+//!   lockstep on the virtual clock ([`hostsim::Machine::run_until`]),
 //!   sharded across a scoped worker pool with a join barrier at every
 //!   epoch and placement event ([`threads`] resolves the worker count;
 //!   output is byte-identical at any count).
 //! * [`lifecycle`] — a seed-driven open-loop arrival/departure/resize
 //!   process (Poisson-style interarrivals, bounded lognormal lifetimes,
-//!   heavy-tailed size mix) plus a [`FleetSpec`] config that round-trips
-//!   through `simcore::json`.
+//!   heavy-tailed size mix) plus the [`FleetSpec`] cluster config.
 //! * [`placement`] — pluggable policies behind [`PlacementPolicy`]:
 //!   first-fit, worst-fit (load-balanced on nominal counts), and a
 //!   probe-aware policy packing by *probed* vcap capacity. Every decision

@@ -7,7 +7,6 @@
 //! pure function of `(spec, seed)`.
 
 use crate::trace_format::FleetTrace;
-use simcore::json::Json;
 use simcore::time::MS;
 use simcore::{SimRng, SimTime};
 use std::collections::BinaryHeap;
@@ -27,8 +26,7 @@ pub enum ChurnModel {
     Trace(FleetTrace),
 }
 
-/// Fleet configuration. Round-trips through [`FleetSpec::to_json`] /
-/// [`FleetSpec::from_json`] (exact-u64, like `FaultPlan`).
+/// Fleet configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetSpec {
     /// Number of hosts in the cluster.
@@ -60,8 +58,8 @@ pub struct FleetSpec {
     pub churn: ChurnModel,
 }
 
-/// Derived per-tier targets when a spec predates them: critical at half
-/// the fleet-wide SLO, standard at it, batch at four times it.
+/// Per-tier targets derived from the fleet-wide SLO: critical at half
+/// of it, standard at it, batch at four times it.
 fn derived_tier_slo(slo_p99_ns: u64) -> [u64; 3] {
     [
         (slo_p99_ns / 2).max(1),
@@ -93,8 +91,8 @@ impl FleetSpec {
 
     /// Structural sanity: every field a schedule generator divides by or
     /// indexes with must be usable. Errors name the offending field and
-    /// the value it carried, so a bad spec file is fixable from the
-    /// message alone.
+    /// the value it carried, so a bad spec is fixable from the message
+    /// alone.
     pub fn validate(&self) -> Result<(), String> {
         if self.hosts == 0 {
             return Err("hosts must be positive (got 0)".into());
@@ -163,95 +161,6 @@ impl FleetSpec {
             t.validate().map_err(|e| format!("churn trace: {e}"))?;
         }
         Ok(())
-    }
-
-    /// Renders the spec as deterministic JSON (sorted keys, exact u64).
-    pub fn to_json(&self) -> String {
-        Json::obj([
-            ("hosts", Json::Uint(self.hosts as u64)),
-            ("threads_per_host", Json::Uint(self.threads_per_host as u64)),
-            ("overcommit_cap", Json::Uint(self.overcommit_cap)),
-            ("arrival_mean_ns", Json::Uint(self.arrival_mean_ns)),
-            ("lifetime_mean_ns", Json::Uint(self.lifetime_mean_ns)),
-            ("lifetime_max_ns", Json::Uint(self.lifetime_max_ns)),
-            (
-                "size_mix",
-                Json::Arr(
-                    self.size_mix
-                        .iter()
-                        .map(|&(v, w)| {
-                            Json::obj([("vcpus", Json::Uint(v as u64)), ("weight", Json::Uint(w))])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("max_live_vms", Json::Uint(self.max_live_vms as u64)),
-            ("horizon_ns", Json::Uint(self.horizon_ns)),
-            ("slo_p99_ns", Json::Uint(self.slo_p99_ns)),
-            ("slo_crit_p99_ns", Json::Uint(self.tier_slo_p99_ns[0])),
-            ("slo_std_p99_ns", Json::Uint(self.tier_slo_p99_ns[1])),
-            ("slo_batch_p99_ns", Json::Uint(self.tier_slo_p99_ns[2])),
-            (
-                "churn",
-                match &self.churn {
-                    ChurnModel::Stochastic => Json::Str("stochastic".into()),
-                    ChurnModel::Trace(t) => t.to_json_value(),
-                },
-            ),
-        ])
-        .render()
-    }
-
-    /// Parses a spec previously written by [`FleetSpec::to_json`].
-    pub fn from_json(text: &str) -> Result<FleetSpec, String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let field = |key| doc.u64_field(key);
-        let mut size_mix = Vec::new();
-        for entry in doc.arr_field("size_mix")? {
-            size_mix.push((
-                entry.u64_field("vcpus")? as usize,
-                entry.u64_field("weight")?,
-            ));
-        }
-        // Absent churn means the PR 5 spec shape: stochastic generation.
-        let churn = match doc.get("churn") {
-            None => ChurnModel::Stochastic,
-            Some(Json::Str(s)) if s == "stochastic" => ChurnModel::Stochastic,
-            Some(Json::Str(s)) => return Err(format!("churn: unknown model {s:?}")),
-            Some(v) => ChurnModel::Trace(
-                FleetTrace::from_json_value(v).map_err(|e| format!("churn trace: {e}"))?,
-            ),
-        };
-        let slo_p99_ns = field("slo_p99_ns")?;
-        // Absent tier keys mean the PR 5 spec shape: derive them from the
-        // fleet-wide SLO so old spec files keep parsing.
-        let derived = derived_tier_slo(slo_p99_ns);
-        let tier = |key: &'static str, dflt: u64| -> Result<u64, String> {
-            match doc.get(key) {
-                None => Ok(dflt),
-                Some(_) => doc.u64_field(key),
-            }
-        };
-        let spec = FleetSpec {
-            hosts: field("hosts")? as usize,
-            threads_per_host: field("threads_per_host")? as usize,
-            overcommit_cap: field("overcommit_cap")?,
-            arrival_mean_ns: field("arrival_mean_ns")?,
-            lifetime_mean_ns: field("lifetime_mean_ns")?,
-            lifetime_max_ns: field("lifetime_max_ns")?,
-            size_mix,
-            max_live_vms: field("max_live_vms")? as usize,
-            horizon_ns: field("horizon_ns")?,
-            slo_p99_ns,
-            tier_slo_p99_ns: [
-                tier("slo_crit_p99_ns", derived[0])?,
-                tier("slo_std_p99_ns", derived[1])?,
-                tier("slo_batch_p99_ns", derived[2])?,
-            ],
-            churn,
-        };
-        spec.validate()?;
-        Ok(spec)
     }
 }
 
@@ -474,6 +383,13 @@ mod tests {
             "lifetime_mean_ns must be positive (got 0)"
         );
 
+        let mut no_sizes = spec();
+        no_sizes.size_mix.clear();
+        assert_eq!(
+            no_sizes.validate().unwrap_err(),
+            "size_mix must not be empty"
+        );
+
         let mut tiny_cap = spec();
         tiny_cap.size_mix = vec![(4, 1), (8, 1)];
         tiny_cap.overcommit_cap = 2;
@@ -499,37 +415,10 @@ mod tests {
             "slo_std_p99_ns 90000000 exceeds slo_batch_p99_ns 80000000: \
              batch tenants must run the loosest SLO"
         );
-        // A spec rendered before the tier keys existed still parses, with
-        // targets derived from the fleet-wide SLO.
-        let mut doc = Json::parse(&spec().to_json()).unwrap();
-        if let Json::Obj(m) = &mut doc {
-            m.remove("slo_crit_p99_ns");
-            m.remove("slo_std_p99_ns");
-            m.remove("slo_batch_p99_ns");
-        }
-        let back = FleetSpec::from_json(&doc.render()).unwrap();
-        assert_eq!(back.tier_slo_p99_ns, [10 * MS, 20 * MS, 80 * MS]);
-    }
-
-    #[test]
-    fn json_round_trip_is_exact() {
+        // `FleetSpec::small` derives the tier targets from its fleet-wide
+        // SLO, and they validate.
         let s = spec();
-        let back = FleetSpec::from_json(&s.to_json()).expect("parses back");
-        assert_eq!(s, back);
-        assert_eq!(s.to_json(), back.to_json());
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_specs() {
-        assert!(FleetSpec::from_json("{}").is_err());
-        assert!(FleetSpec::from_json("not json").is_err());
-        // Structural validation: an empty size mix parses but is invalid.
-        let mut s = spec();
-        s.size_mix.clear();
-        let mut doc = Json::parse(&spec().to_json()).unwrap();
-        if let Json::Obj(m) = &mut doc {
-            m.insert("size_mix".into(), Json::Arr(Vec::new()));
-        }
-        assert!(FleetSpec::from_json(&doc.render()).is_err());
+        assert_eq!(s.tier_slo_p99_ns, [10 * MS, 20 * MS, 80 * MS]);
+        assert_eq!(s.validate(), Ok(()));
     }
 }

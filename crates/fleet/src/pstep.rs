@@ -17,12 +17,13 @@
 //! # Why this is sound without `Machine: Send`
 //!
 //! A [`HostSim`] is not `Send`: its machine, guest kernels, workload, and
-//! per-host trace collector share `Rc<RefCell<…>>` handles. But that `Rc`
-//! graph is *closed per host* — host `h`'s collector is shared only among
-//! host `h`'s machine and guests, and a live VM's latency-stats handle is
-//! shared only between the cluster's bookkeeping (which the coordinator
-//! touches strictly between rounds) and the workload boxed inside host
-//! `h`'s machine. During a round:
+//! per-host trace collector share `Rc<RefCell<…>>` handles (`Rc`, not
+//! `Arc`, keeps the single-host emit path allocation- and atomic-free).
+//! But that `Rc` graph is *closed per host* — host `h`'s collector is
+//! shared only among host `h`'s machine and guests, and a live VM's
+//! latency-stats handle is shared only between the cluster's bookkeeping
+//! (which the coordinator touches strictly between rounds) and the
+//! workload boxed inside host `h`'s machine. During a round:
 //!
 //! * each host index is claimed exactly once (the cursor advances under
 //!   the pool mutex), so exactly one thread touches host `h`'s graph;

@@ -283,63 +283,6 @@ impl FleetTrace {
         }
         Ok(())
     }
-
-    /// The trace as a single JSON value, for embedding inside a
-    /// [`crate::FleetSpec`]'s `churn` field.
-    pub fn to_json_value(&self) -> Json {
-        Json::obj([
-            ("day_seed", Json::Uint(self.day_seed)),
-            ("format", Json::Str(FORMAT_TAG.into())),
-            (
-                "events",
-                Json::Arr(self.events.iter().map(record_json).collect()),
-            ),
-            ("horizon_ns", Json::Uint(self.horizon_ns)),
-            ("profile", Json::Str(self.profile.clone())),
-            ("version", Json::Uint(FORMAT_VERSION)),
-        ])
-    }
-
-    /// Inverse of [`FleetTrace::to_json_value`]. Errors use record index
-    /// (not line) positions since there is no line structure here.
-    pub fn from_json_value(doc: &Json) -> Result<FleetTrace, TraceError> {
-        match doc.get("format").and_then(|v| v.as_str()) {
-            Some(FORMAT_TAG) => {}
-            _ => return err(0, format!("embedded trace missing format {FORMAT_TAG:?}")),
-        }
-        match doc.get("version").and_then(|v| v.as_u64()) {
-            Some(FORMAT_VERSION) => {}
-            v => return err(0, format!("embedded trace version {v:?} unsupported")),
-        }
-        let u = |key: &str| -> Result<u64, TraceError> {
-            match doc.get(key).and_then(|v| v.as_u64()) {
-                Some(n) => Ok(n),
-                None => err(0, format!("embedded trace missing u64 field {key:?}")),
-            }
-        };
-        let profile = match doc.get("profile").and_then(|v| v.as_str()) {
-            Some(s) => s.to_string(),
-            None => return err(0, "embedded trace missing string field \"profile\""),
-        };
-        let records = match doc.get("events").and_then(|v| v.as_arr()) {
-            Some(arr) => arr,
-            None => return err(0, "embedded trace missing array field \"events\""),
-        };
-        let mut events = Vec::with_capacity(records.len());
-        for (i, rec) in records.iter().enumerate() {
-            // Reuse the line-oriented parser; report positions as if the
-            // value were encoded (record i on line i + 2).
-            events.push(parse_record(rec, i + 2)?);
-        }
-        let trace = FleetTrace {
-            profile,
-            day_seed: u("day_seed")?,
-            horizon_ns: u("horizon_ns")?,
-            events,
-        };
-        trace.validate()?;
-        Ok(trace)
-    }
 }
 
 #[cfg(test)]
@@ -382,13 +325,6 @@ mod tests {
         let back = FleetTrace::decode(&text).expect("decodes");
         assert_eq!(t, back);
         assert_eq!(text, back.encode(), "re-encode is byte-identical");
-    }
-
-    #[test]
-    fn json_value_embedding_round_trips() {
-        let t = sample();
-        let back = FleetTrace::from_json_value(&t.to_json_value()).expect("embeds");
-        assert_eq!(t, back);
     }
 
     #[test]

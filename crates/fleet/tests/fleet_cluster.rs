@@ -1,6 +1,6 @@
-//! End-to-end cluster runs checked against the fleet trace laws, plus the
-//! `FleetSpec` JSON round-trip property (the fleet sibling of
-//! `FaultPlan`'s round-trip in `hostsim::faults`).
+//! End-to-end cluster runs checked against the fleet trace laws, plus
+//! lifecycle schedules as pure functions of a random valid `FleetSpec`
+//! and a seed.
 
 use simcore::propcheck;
 use simcore::time::MS;
@@ -47,19 +47,10 @@ fn random_spec(rng: &mut simcore::SimRng) -> FleetSpec {
 }
 
 #[test]
-fn fleet_spec_json_round_trips_exactly() {
-    propcheck::forall(0xF1EE7, cases(32), |rng| {
-        let spec = random_spec(rng);
-        let back = FleetSpec::from_json(&spec.to_json()).expect("parses back");
-        assert_eq!(spec, back);
-        assert_eq!(spec.to_json(), back.to_json());
-    });
-}
-
-#[test]
 fn lifecycle_schedules_are_pure_functions_of_spec_and_seed() {
     propcheck::forall(0xF1EE8, cases(8), |rng| {
         let spec = random_spec(rng);
+        spec.validate().expect("random specs are valid");
         let seed = rng.u64();
         assert_eq!(
             vsched_fleet::generate(&spec, seed),

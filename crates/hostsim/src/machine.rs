@@ -1575,7 +1575,10 @@ impl Machine {
     }
 
     /// Runs the simulation until `until` (inclusive), settling accounting
-    /// at the end.
+    /// at the end. Re-entrant: a fleet cluster calls it on every host at
+    /// each barrier. Machines share no state, so the stepping order, or
+    /// the worker thread, never changes a result; `fleet::pstep` says why
+    /// a `Machine` is not `Send` and how the pool confines it.
     pub fn run_until(&mut self, until: SimTime) {
         self.q.post(until, Ev::End);
         self.finished = false;
@@ -1585,25 +1588,6 @@ impl Machine {
             self.dispatch(ev);
         }
         self.settle_all();
-    }
-
-    /// Lockstep re-entry point for multi-machine stepping: advances this
-    /// machine to `until` exactly like [`Machine::run_until`]. A fleet
-    /// `Cluster` calls this on every host per epoch; machines share no
-    /// state, so stepping them in *any* order — or from different worker
-    /// threads — is deterministic.
-    ///
-    /// A `Machine` is deliberately **not** `Send`: its trace plumbing and
-    /// workload handles are `Rc`-based so the single-host emit path stays
-    /// allocation- and atomic-free. A cluster that steps machines from a
-    /// worker pool must instead confine each machine — and everything its
-    /// `Rc` graph reaches (guest kernels, workload, per-host collector) —
-    /// to exactly one worker per barrier interval, with a happens-before
-    /// edge between successive owners. `fleet`'s stepping pool enforces
-    /// that by claiming stable host indices under a mutex and joining
-    /// every worker before any cross-host state is touched.
-    pub fn step_until(&mut self, until: SimTime) {
-        self.run_until(until);
     }
 
     /// Starts the workload of one VM. [`Machine::start`] does this for

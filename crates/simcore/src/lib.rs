@@ -9,7 +9,8 @@
 //!   payload; ties are broken by insertion sequence so simulations are
 //!   deterministic and independent of heap internals.
 //! * [`SimRng`] — a self-contained xoshiro256++ PRNG with the distributions
-//!   the workload generators need (exponential, lognormal-ish, uniform).
+//!   the workload generators need (exponential, lognormal-ish, uniform),
+//!   plus [`fnv1a64`], the one hash used to derive seeds from names.
 //! * [`Integrator`] — a piecewise-constant-rate work integrator, the
 //!   mechanism by which tasks accrue work only while their vCPU is actually
 //!   running on a physical core (the paper's central observable).
@@ -30,5 +31,5 @@ pub mod time;
 
 pub use event::EventQueue;
 pub use integrator::Integrator;
-pub use rng::SimRng;
+pub use rng::{fnv1a64, SimRng};
 pub use time::SimTime;

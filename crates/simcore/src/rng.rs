@@ -17,6 +17,15 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// 64-bit FNV-1a over a byte stream: the workspace's one stable,
+/// platform-independent hash for deriving seeds from names and for
+/// content checksums.
+pub fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// A deterministic random source (xoshiro256++ core).
 #[derive(Debug, Clone)]
 pub struct SimRng {
@@ -155,6 +164,13 @@ impl SimRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a64_matches_published_vectors() {
+        assert_eq!(fnv1a64(*b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(*b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(*b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn same_seed_same_stream() {
