@@ -201,8 +201,9 @@ struct HwThread {
 
 /// One virtual machine: guest kernel + workload + accounting.
 pub struct Vm {
-    /// The guest OS (scheduler + optional vSched hooks).
-    pub guest: GuestOs,
+    /// The guest OS (scheduler + optional vSched hooks). Boxed so that
+    /// [`Machine::with_vm`] lends it out by swapping two pointers.
+    pub guest: Box<GuestOs>,
     /// The hosted workload, if any.
     pub workload: Option<Box<dyn Workload>>,
     /// First global vCPU index of this VM.
@@ -426,12 +427,13 @@ pub struct Machine {
     /// Host-side trace sink; [`Machine::attach_trace`] turns it on and
     /// propagates per-VM scoped sinks into every guest kernel.
     pub trace: TraceSink,
-    /// Reusable stand-in guest swapped into a VM's slot while its real
-    /// guest is borrowed out by [`Machine::with_vm`]. Building a fresh
-    /// placeholder per call allocates a full `KernelStats` (histogram
-    /// buckets included) on every guest tick/wake/burst — the single
-    /// hottest allocation in event dispatch.
-    placeholder: Option<GuestOs>,
+    /// Stand-in guest swapped into a VM's slot while its real guest is
+    /// lent out by [`Machine::with_vm`]: the slot must hold *some* guest
+    /// while the machine is also borrowed as the [`Platform`]. Cached
+    /// because building a `GuestOs` allocates its kernel state, and
+    /// with_vm runs on nearly every event; only a nested lend (the
+    /// cache already taken) builds a throwaway one.
+    placeholder: Option<Box<GuestOs>>,
     /// Events popped and dispatched over the machine's lifetime (the bench
     /// harness's events/sec denominator).
     pub events_dispatched: u64,
@@ -544,7 +546,7 @@ impl Machine {
         }
         self.classes.push(PriorityClass::Standard);
         self.llc.add_vm();
-        let mut guest = GuestOs::new(guest_cfg, now);
+        let mut guest = Box::new(GuestOs::new(guest_cfg, now));
         guest.kern.trace = self.trace.scoped(vm_idx as u16);
         self.vms.push(Vm {
             guest,
@@ -1429,8 +1431,25 @@ impl Machine {
     // Guest call plumbing
     // ------------------------------------------------------------------
 
-    fn placeholder_guest() -> GuestOs {
-        GuestOs::new(GuestConfig::new(0), SimTime::ZERO)
+    fn placeholder_guest() -> Box<GuestOs> {
+        Box::new(GuestOs::new(GuestConfig::new(0), SimTime::ZERO))
+    }
+
+    /// Takes VM `vm`'s guest out of its slot, leaving the placeholder.
+    fn lend_guest(&mut self, vm: usize) -> Box<GuestOs> {
+        let mut guest = self
+            .placeholder
+            .take()
+            .unwrap_or_else(Self::placeholder_guest);
+        std::mem::swap(&mut self.vms[vm].guest, &mut guest);
+        guest
+    }
+
+    /// Puts a guest taken by [`Machine::lend_guest`] back and re-caches
+    /// the placeholder.
+    fn return_guest(&mut self, vm: usize, mut guest: Box<GuestOs>) {
+        std::mem::swap(&mut self.vms[vm].guest, &mut guest);
+        self.placeholder = Some(guest);
     }
 
     /// Runs `f` with mutable access to a VM's guest and a [`Platform`]
@@ -1440,17 +1459,9 @@ impl Machine {
         vm: usize,
         f: impl FnOnce(&mut GuestOs, &mut dyn Platform) -> R,
     ) -> R {
-        // Reuse the cached placeholder; a nested with_vm (rare — the
-        // re-entrancy rule above forbids guest→guest calls) falls back to
-        // building a throwaway one.
-        let ph = self
-            .placeholder
-            .take()
-            .unwrap_or_else(Self::placeholder_guest);
-        let mut guest = std::mem::replace(&mut self.vms[vm].guest, ph);
-        let mut ctx = Ctx { m: self, vm };
-        let r = f(&mut guest, &mut ctx);
-        self.placeholder = Some(std::mem::replace(&mut self.vms[vm].guest, guest));
+        let mut guest = self.lend_guest(vm);
+        let r = f(&mut guest, &mut Ctx { m: self, vm });
+        self.return_guest(vm, guest);
         r
     }
 
@@ -1461,14 +1472,9 @@ impl Machine {
         f: impl FnOnce(&mut GuestOs, &mut dyn Workload, &mut dyn Platform) -> R,
     ) -> Option<R> {
         let mut wl = self.vms[vm].workload.take()?;
-        let ph = self
-            .placeholder
-            .take()
-            .unwrap_or_else(Self::placeholder_guest);
-        let mut guest = std::mem::replace(&mut self.vms[vm].guest, ph);
-        let mut ctx = Ctx { m: self, vm };
-        let r = f(&mut guest, wl.as_mut(), &mut ctx);
-        self.placeholder = Some(std::mem::replace(&mut self.vms[vm].guest, guest));
+        let mut guest = self.lend_guest(vm);
+        let r = f(&mut guest, wl.as_mut(), &mut Ctx { m: self, vm });
+        self.return_guest(vm, guest);
         self.vms[vm].workload = Some(wl);
         Some(r)
     }
@@ -2132,5 +2138,54 @@ impl Platform for Ctx<'_> {
     fn set_timer(&mut self, token: u64, at: SimTime) {
         let vm = self.vm;
         self.m.q.post(at, Ev::Timer { vm, token });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn addr(g: &GuestOs) -> *const GuestOs {
+        g
+    }
+
+    /// A machine with two VMs of different sizes, so each guest is
+    /// recognisable by its vCPU count.
+    fn two_vms() -> Machine {
+        let mut m = Machine::new(HostSpec::flat(4), 1);
+        for nr in [2, 3] {
+            m.add_vm(GuestConfig::new(nr), vec![vec![0, 1, 2, 3]; nr], 1024, None);
+        }
+        m
+    }
+
+    #[test]
+    fn with_vm_lends_the_guest_in_place() {
+        let mut m = two_vms();
+        let home = addr(&m.vms[0].guest);
+        let lent = m.with_vm(0, |g, _| {
+            assert_eq!(g.kern.vcpus.len(), 2);
+            addr(g)
+        });
+        assert_eq!(lent, home, "with_vm moved the guest out of its box");
+        assert_eq!(addr(&m.vms[0].guest), home, "the guest came back elsewhere");
+    }
+
+    #[test]
+    fn nested_lend_sees_the_second_vms_own_guest() {
+        let mut m = two_vms();
+        let (home0, home1) = (addr(&m.vms[0].guest), addr(&m.vms[1].guest));
+        // VM 0 is out, as while its callbacks drive the host into VM 1.
+        let g0 = m.lend_guest(0);
+        assert_eq!(addr(&g0), home0);
+        let nested = m.with_vm(1, |g, _| {
+            assert_eq!(g.kern.vcpus.len(), 3, "nested lend got the wrong guest");
+            addr(g)
+        });
+        assert_eq!(nested, home1);
+        m.return_guest(0, g0);
+        assert_eq!(addr(&m.vms[0].guest), home0);
+        assert_eq!(addr(&m.vms[1].guest), home1);
+        assert_eq!(m.vms[0].guest.kern.vcpus.len(), 2);
     }
 }
