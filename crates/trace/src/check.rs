@@ -16,6 +16,7 @@
 //! failing figure run points straight at the broken transition.
 
 use crate::event::{EventKind, IvhPhase, PreemptReason, PriorityClass, TraceEvent};
+use crate::table::VmTable;
 use simcore::SimTime;
 use std::collections::HashMap;
 use std::fmt;
@@ -292,13 +293,20 @@ enum HostCpu {
 pub struct InvariantChecker {
     /// Max work per nanosecond of active time (1024 = a full-speed core).
     cap_ceiling: f64,
-    running: HashMap<(u16, u32), u16>,
-    curr: HashMap<(u16, u16), u32>,
-    min_vr: HashMap<(u16, u16), u64>,
-    host: HashMap<(u16, u16), HostCpu>,
-    ivh_pending: HashMap<(u16, u16), u32>,
-    throttled: HashMap<(u16, u16), SimTime>,
-    degraded: HashMap<u16, SimTime>,
+    /// vCPU each `(vm, task)` is running on.
+    running: VmTable<u16>,
+    /// Task each `(vm, vcpu)` is running.
+    curr: VmTable<u32>,
+    /// `min_vruntime` floor per `(vm, vcpu)` runqueue.
+    min_vr: VmTable<u64>,
+    /// Host-side occupancy of each `(vm, vcpu)`.
+    host: VmTable<HostCpu>,
+    /// Task of the pull pending toward each `(vm, vcpu)`.
+    ivh_pending: VmTable<u32>,
+    /// When each throttled `(vm, vcpu)` was throttled.
+    throttled: VmTable<SimTime>,
+    /// When each degraded VM entered degraded mode (per VM: id 0).
+    degraded: VmTable<SimTime>,
     /// Fleet VMs admitted (by uid) and awaiting placement.
     admitted: HashMap<u32, SimTime>,
     /// Fleet VMs currently placed: uid → host.
@@ -308,11 +316,12 @@ pub struct InvariantChecker {
     /// Committed-vCPU occupancy per fleet host, reconstructed from the
     /// `occupied` snapshots that placements and migrations carry.
     host_occ: HashMap<u16, u64>,
-    /// Tenant class each VM was bound to by `DomainAssigned`.
-    vm_class: HashMap<u16, PriorityClass>,
+    /// Tenant class each VM was bound to by `DomainAssigned` (per VM:
+    /// id 0).
+    vm_class: VmTable<PriorityClass>,
     /// Last cumulative (inserted, evicted, decayed) LLC counters per
     /// `(vm, socket)`, for the monotonicity half of conservation.
-    llc_cumulative: HashMap<(u16, u16), (f64, f64, f64)>,
+    llc_cumulative: VmTable<(f64, f64, f64)>,
     /// The domain slice currently active: `(index, class)`.
     active_domain: Option<(u16, PriorityClass)>,
     /// Slice lengths accumulated since the current rotation cycle began
@@ -336,19 +345,19 @@ impl InvariantChecker {
     pub fn new() -> Self {
         Self {
             cap_ceiling: 1024.0,
-            running: HashMap::new(),
-            curr: HashMap::new(),
-            min_vr: HashMap::new(),
-            host: HashMap::new(),
-            ivh_pending: HashMap::new(),
-            throttled: HashMap::new(),
-            degraded: HashMap::new(),
+            running: VmTable::default(),
+            curr: VmTable::default(),
+            min_vr: VmTable::default(),
+            host: VmTable::default(),
+            ivh_pending: VmTable::default(),
+            throttled: VmTable::default(),
+            degraded: VmTable::default(),
             admitted: HashMap::new(),
             placed: HashMap::new(),
             failed_hosts: HashMap::new(),
             host_occ: HashMap::new(),
-            vm_class: HashMap::new(),
-            llc_cumulative: HashMap::new(),
+            vm_class: VmTable::default(),
+            llc_cumulative: VmTable::default(),
             active_domain: None,
             domain_cycle_ns: 0,
             recent: std::collections::VecDeque::with_capacity(CONTEXT + 1),
@@ -414,8 +423,7 @@ impl InvariantChecker {
                 min_vruntime,
                 ..
             } => {
-                let key = (ev.vm, vcpu);
-                let floor = self.min_vr.entry(key).or_insert(0);
+                let floor = self.min_vr.get_or_default(ev.vm, vcpu);
                 if min_vruntime < *floor {
                     let was = *floor;
                     self.flag(
@@ -427,28 +435,28 @@ impl InvariantChecker {
                     *floor = min_vruntime;
                 }
                 if let Some(t) = next {
-                    if let Some(&on) = self.running.get(&(ev.vm, t)) {
+                    if let Some(&on) = self.running.get(ev.vm, t) {
                         self.flag(
                             ViolationKind::DoubleRun,
                             ev,
                             format!("task {t} switched in on vcpu {vcpu} while running on {on}"),
                         );
                     }
-                    if let Some(&busy) = self.curr.get(&key) {
+                    if let Some(&busy) = self.curr.get(ev.vm, vcpu) {
                         self.flag(
                             ViolationKind::SwitchInWhileBusy,
                             ev,
                             format!("vcpu {vcpu} still runs task {busy}"),
                         );
                     }
-                    self.running.insert((ev.vm, t), vcpu);
-                    self.curr.insert(key, t);
+                    self.running.insert(ev.vm, t, vcpu);
+                    self.curr.insert(ev.vm, vcpu, t);
                 }
                 if let Some(t) = prev {
-                    match self.curr.get(&key) {
+                    match self.curr.get(ev.vm, vcpu) {
                         Some(&c) if c == t => {
-                            self.curr.remove(&key);
-                            self.running.remove(&(ev.vm, t));
+                            self.curr.remove(ev.vm, vcpu);
+                            self.running.remove(ev.vm, t);
                         }
                         other => {
                             let have = other.copied();
@@ -462,7 +470,7 @@ impl InvariantChecker {
                 }
             }
             EventKind::TaskMigrate { task, from, to, .. } => {
-                if let Some(&on) = self.running.get(&(ev.vm, task)) {
+                if let Some(&on) = self.running.get(ev.vm, task) {
                     self.flag(
                         ViolationKind::MigrateWhileRunning,
                         ev,
@@ -471,8 +479,7 @@ impl InvariantChecker {
                 }
             }
             EventKind::VcpuResume { vcpu, .. } => {
-                let key = (ev.vm, vcpu);
-                let state = *self.host.get(&key).unwrap_or(&HostCpu::Unknown);
+                let state = *self.host.get(ev.vm, vcpu).unwrap_or(&HostCpu::Unknown);
                 match state {
                     HostCpu::Running => self.flag(
                         ViolationKind::RunOverlap,
@@ -493,10 +500,10 @@ impl InvariantChecker {
                     }
                     HostCpu::Idle | HostCpu::Unknown => {}
                 }
-                self.host.insert(key, HostCpu::Running);
-                self.throttled.remove(&key);
+                self.host.insert(ev.vm, vcpu, HostCpu::Running);
+                self.throttled.remove(ev.vm, vcpu);
                 if let (Some((idx, active)), Some(&class)) =
-                    (self.active_domain, self.vm_class.get(&ev.vm))
+                    (self.active_domain, self.vm_class.get(ev.vm, 0u16))
                 {
                     if class != active {
                         self.flag(
@@ -511,16 +518,15 @@ impl InvariantChecker {
                 }
             }
             EventKind::VcpuPreempt { vcpu, reason } => {
-                let key = (ev.vm, vcpu);
                 if reason == PreemptReason::Throttle {
-                    if let Some(&since) = self.throttled.get(&key) {
+                    if let Some(&since) = self.throttled.get(ev.vm, vcpu) {
                         self.flag(
                             ViolationKind::ThrottleWithoutRefill,
                             ev,
                             format!("vcpu {vcpu} throttled again (throttled since {since})"),
                         );
                     }
-                    self.throttled.insert(key, ev.at);
+                    self.throttled.insert(ev.vm, vcpu, ev.at);
                 }
                 let next = match reason {
                     PreemptReason::Halt => HostCpu::Idle,
@@ -529,12 +535,13 @@ impl InvariantChecker {
                         steal: 0,
                     },
                 };
-                self.host.insert(key, next);
+                self.host.insert(ev.vm, vcpu, next);
             }
             EventKind::VcpuWake { vcpu } => {
-                self.throttled.remove(&(ev.vm, vcpu));
+                self.throttled.remove(ev.vm, vcpu);
                 self.host.insert(
-                    (ev.vm, vcpu),
+                    ev.vm,
+                    vcpu,
                     HostCpu::Waiting {
                         since: ev.at,
                         steal: 0,
@@ -542,9 +549,9 @@ impl InvariantChecker {
                 );
             }
             EventKind::VcpuHalt { vcpu } => {
-                let key = (ev.vm, vcpu);
-                self.throttled.remove(&key);
-                if let Some(HostCpu::Waiting { since, steal }) = self.host.get(&key).copied() {
+                self.throttled.remove(ev.vm, vcpu);
+                if let Some(HostCpu::Waiting { since, steal }) = self.host.get(ev.vm, vcpu).copied()
+                {
                     let wall = ev.at.since(since);
                     if steal != wall {
                         self.flag(
@@ -556,33 +563,30 @@ impl InvariantChecker {
                         );
                     }
                 }
-                self.host.insert(key, HostCpu::Idle);
+                self.host.insert(ev.vm, vcpu, HostCpu::Idle);
             }
-            EventKind::StealAccrue { vcpu, delta_ns } => {
-                let key = (ev.vm, vcpu);
-                match self.host.get_mut(&key) {
-                    Some(HostCpu::Waiting { since, steal }) => {
-                        *steal += delta_ns;
-                        let elapsed = ev.at.since(*since);
-                        if *steal > elapsed {
-                            let got = *steal;
-                            self.flag(
-                                ViolationKind::StealAccountingGap,
-                                ev,
-                                format!(
-                                    "vcpu {vcpu} accrued {got} ns steal in {elapsed} ns of waiting"
-                                ),
-                            );
-                        }
+            EventKind::StealAccrue { vcpu, delta_ns } => match self.host.get_mut(ev.vm, vcpu) {
+                Some(HostCpu::Waiting { since, steal }) => {
+                    *steal += delta_ns;
+                    let elapsed = ev.at.since(*since);
+                    if *steal > elapsed {
+                        let got = *steal;
+                        self.flag(
+                            ViolationKind::StealAccountingGap,
+                            ev,
+                            format!(
+                                "vcpu {vcpu} accrued {got} ns steal in {elapsed} ns of waiting"
+                            ),
+                        );
                     }
-                    Some(HostCpu::Unknown) | None => {}
-                    _ => self.flag(
-                        ViolationKind::StealWhileNotWaiting,
-                        ev,
-                        format!("vcpu {vcpu} accrued {delta_ns} ns steal while not waiting"),
-                    ),
                 }
-            }
+                Some(HostCpu::Unknown) | None => {}
+                _ => self.flag(
+                    ViolationKind::StealWhileNotWaiting,
+                    ev,
+                    format!("vcpu {vcpu} accrued {delta_ns} ns steal while not waiting"),
+                ),
+            },
             EventKind::TaskCharge {
                 task,
                 active_ns,
@@ -601,32 +605,29 @@ impl InvariantChecker {
                     );
                 }
             }
-            EventKind::IvhPull { target, phase, .. } => {
-                let key = (ev.vm, target);
-                match phase {
-                    IvhPhase::Attempt => {
-                        if let Some(&t) = self.ivh_pending.get(&key) {
-                            self.flag(
-                                ViolationKind::IvhDuplicateAttempt,
-                                ev,
-                                format!("pull toward vcpu {target} already pending (task {t})"),
-                            );
-                        }
-                        if let EventKind::IvhPull { task, .. } = ev.kind {
-                            self.ivh_pending.insert(key, task);
-                        }
+            EventKind::IvhPull { target, phase, .. } => match phase {
+                IvhPhase::Attempt => {
+                    if let Some(&t) = self.ivh_pending.get(ev.vm, target) {
+                        self.flag(
+                            ViolationKind::IvhDuplicateAttempt,
+                            ev,
+                            format!("pull toward vcpu {target} already pending (task {t})"),
+                        );
                     }
-                    IvhPhase::Complete | IvhPhase::Abandon => {
-                        if self.ivh_pending.remove(&key).is_none() {
-                            self.flag(
-                                ViolationKind::IvhUnmatchedResolution,
-                                ev,
-                                format!("{phase:?} with no outstanding attempt on vcpu {target}"),
-                            );
-                        }
+                    if let EventKind::IvhPull { task, .. } = ev.kind {
+                        self.ivh_pending.insert(ev.vm, target, task);
                     }
                 }
-            }
+                IvhPhase::Complete | IvhPhase::Abandon => {
+                    if self.ivh_pending.remove(ev.vm, target).is_none() {
+                        self.flag(
+                            ViolationKind::IvhUnmatchedResolution,
+                            ev,
+                            format!("{phase:?} with no outstanding attempt on vcpu {target}"),
+                        );
+                    }
+                }
+            },
             EventKind::BandwidthSet {
                 vcpu,
                 quota_ns,
@@ -660,16 +661,16 @@ impl InvariantChecker {
                 }
             }
             EventKind::DegradedEnter { .. } => {
-                if let Some(&since) = self.degraded.get(&ev.vm) {
+                if let Some(&since) = self.degraded.get(ev.vm, 0u16) {
                     self.flag(
                         ViolationKind::DegradedStateMismatch,
                         ev,
                         format!("enter while degraded since {since}"),
                     );
                 }
-                self.degraded.insert(ev.vm, ev.at);
+                self.degraded.insert(ev.vm, 0u16, ev.at);
             }
-            EventKind::DegradedExit { after_ns } => match self.degraded.remove(&ev.vm) {
+            EventKind::DegradedExit { after_ns } => match self.degraded.remove(ev.vm, 0u16) {
                 None => self.flag(
                     ViolationKind::DegradedStateMismatch,
                     ev,
@@ -688,7 +689,7 @@ impl InvariantChecker {
             },
             EventKind::IvhAbandonedByWatchdog { target, .. } => {
                 // Resolves the outstanding attempt exactly like an Abandon.
-                if self.ivh_pending.remove(&(ev.vm, target)).is_none() {
+                if self.ivh_pending.remove(ev.vm, target).is_none() {
                     self.flag(
                         ViolationKind::IvhUnmatchedResolution,
                         ev,
@@ -865,7 +866,7 @@ impl InvariantChecker {
                 self.host_occ.insert(to, to_occupied);
             }
             EventKind::DomainAssigned { class } => {
-                self.vm_class.insert(ev.vm, class);
+                self.vm_class.insert(ev.vm, 0u16, class);
             }
             EventKind::DomainSwitch {
                 index,
@@ -959,8 +960,7 @@ impl InvariantChecker {
                         ),
                     );
                 }
-                let key = (ev.vm, socket);
-                if let Some(&(pi, pe, pd)) = self.llc_cumulative.get(&key) {
+                if let Some(&(pi, pe, pd)) = self.llc_cumulative.get(ev.vm, socket) {
                     let eps = 1.0;
                     if inserted_bytes < pi - eps
                         || evicted_bytes < pe - eps
@@ -978,8 +978,11 @@ impl InvariantChecker {
                         );
                     }
                 }
-                self.llc_cumulative
-                    .insert(key, (inserted_bytes, evicted_bytes, decayed_bytes));
+                self.llc_cumulative.insert(
+                    ev.vm,
+                    socket,
+                    (inserted_bytes, evicted_bytes, decayed_bytes),
+                );
                 let balance = inserted_bytes - evicted_bytes - decayed_bytes;
                 let tol = (1e-6 * inserted_bytes.abs()).max(1.0);
                 if (occupied_bytes - balance).abs() > tol {

@@ -14,7 +14,8 @@
 
 use crate::event::{EventKind, TraceEvent};
 use crate::ring::RingBuffer;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::table::VmTable;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// Offset separating guest-task tracks from host tracks within a process.
@@ -78,11 +79,11 @@ pub fn chrome_trace(ring: &RingBuffer) -> String {
 
     // Metadata: name every process (VM) and thread (vCPU track) that appears.
     let mut vms: BTreeSet<u16> = BTreeSet::new();
-    let mut tracks: BTreeSet<(u16, u16)> = BTreeSet::new();
+    let mut tracks: VmTable<()> = VmTable::default();
     for ev in ring.iter() {
         vms.insert(ev.vm);
         if let Some(v) = vcpu_of(ev) {
-            tracks.insert((ev.vm, v));
+            tracks.insert(ev.vm, v, ());
         }
     }
     for vm in &vms {
@@ -91,7 +92,7 @@ pub fn chrome_trace(ring: &RingBuffer) -> String {
              \"args\":{{\"name\":\"VM {vm}\"}}"
         ));
     }
-    for &(vm, v) in &tracks {
+    for (vm, v, ()) in tracks.iter() {
         w.event(format!(
             "\"ph\":\"M\",\"pid\":{vm},\"tid\":{v},\"name\":\"thread_name\",\
              \"args\":{{\"name\":\"vCPU {v} (host)\"}}"
@@ -99,14 +100,14 @@ pub fn chrome_trace(ring: &RingBuffer) -> String {
         w.event(format!(
             "\"ph\":\"M\",\"pid\":{vm},\"tid\":{},\"name\":\"thread_name\",\
              \"args\":{{\"name\":\"vCPU {v} (guest)\"}}",
-            GUEST_TID_BASE + v as u32
+            GUEST_TID_BASE + v
         ));
     }
 
     // Open-slice bookkeeping so B/E stay balanced even when the ring starts
     // mid-slice (dropped prefix) or the run ends mid-slice.
-    let mut host_open: BTreeMap<(u16, u16), ()> = BTreeMap::new();
-    let mut guest_open: BTreeMap<(u16, u16), u32> = BTreeMap::new();
+    let mut host_open: VmTable<()> = VmTable::default();
+    let mut guest_open: VmTable<u32> = VmTable::default();
     let mut last_ts = 0u64;
 
     for ev in ring.iter() {
@@ -120,10 +121,10 @@ pub fn chrome_trace(ring: &RingBuffer) -> String {
                      \"cat\":\"host\",\"name\":\"running\",\
                      \"args\":{{\"thread\":{thread}}}"
                 ));
-                host_open.insert((vm, vcpu), ());
+                host_open.insert(vm, vcpu, ());
             }
             EventKind::VcpuPreempt { vcpu, reason } => {
-                if host_open.remove(&(vm, vcpu)).is_some() {
+                if host_open.remove(vm, vcpu).is_some() {
                     w.event(format!(
                         "\"ph\":\"E\",\"ts\":{t},\"pid\":{vm},\"tid\":{vcpu},\
                          \"cat\":\"host\",\"args\":{{\"reason\":\"{reason:?}\"}}"
@@ -141,7 +142,7 @@ pub fn chrome_trace(ring: &RingBuffer) -> String {
                 vcpu, prev, next, ..
             } => {
                 let tid = GUEST_TID_BASE + vcpu as u32;
-                if prev.is_some() && guest_open.remove(&(vm, vcpu)).is_some() {
+                if prev.is_some() && guest_open.remove(vm, vcpu).is_some() {
                     w.event(format!(
                         "\"ph\":\"E\",\"ts\":{t},\"pid\":{vm},\"tid\":{tid},\"cat\":\"guest\""
                     ));
@@ -151,7 +152,7 @@ pub fn chrome_trace(ring: &RingBuffer) -> String {
                         "\"ph\":\"B\",\"ts\":{t},\"pid\":{vm},\"tid\":{tid},\
                          \"cat\":\"guest\",\"name\":\"T{task}\""
                     ));
-                    guest_open.insert((vm, vcpu), task);
+                    guest_open.insert(vm, vcpu, task);
                 }
             }
             EventKind::TaskWake { task, vcpu, waker } => {
@@ -384,15 +385,15 @@ pub fn chrome_trace(ring: &RingBuffer) -> String {
 
     // Close any still-open slice so every B has a matching E.
     let t = us(last_ts);
-    for ((vm, vcpu), _) in host_open {
+    for (vm, vcpu, ()) in host_open.iter() {
         w.event(format!(
             "\"ph\":\"E\",\"ts\":{t},\"pid\":{vm},\"tid\":{vcpu},\"cat\":\"host\""
         ));
     }
-    for ((vm, vcpu), _) in guest_open {
+    for (vm, vcpu, _) in guest_open.iter() {
         w.event(format!(
             "\"ph\":\"E\",\"ts\":{t},\"pid\":{vm},\"tid\":{},\"cat\":\"guest\"",
-            GUEST_TID_BASE + vcpu as u32
+            GUEST_TID_BASE + vcpu
         ));
     }
 

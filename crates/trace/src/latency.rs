@@ -15,18 +15,18 @@
 //! report.
 
 use crate::event::{EventKind, TraceEvent};
+use crate::table::VmTable;
 use metrics::Histogram;
 use simcore::SimTime;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Streaming wake→first-run delay accumulator.
 #[derive(Default)]
 pub struct WakeLatency {
     /// Wakeups awaiting their first run, keyed by `(vm, task)`.
-    pending: BTreeMap<(u16, u32), SimTime>,
+    pending: VmTable<SimTime>,
     /// Completed delays per `(vm, vcpu)`.
-    per_vcpu: BTreeMap<(u16, u16), Histogram>,
+    per_vcpu: VmTable<Histogram>,
 }
 
 impl std::fmt::Debug for WakeLatency {
@@ -43,17 +43,16 @@ impl WakeLatency {
     pub fn observe(&mut self, ev: &TraceEvent) {
         match ev.kind {
             EventKind::TaskWake { task, .. } => {
-                self.pending.insert((ev.vm, task), ev.at);
+                self.pending.insert(ev.vm, task, ev.at);
             }
             EventKind::ContextSwitch {
                 vcpu,
                 next: Some(task),
                 ..
             } => {
-                if let Some(woke) = self.pending.remove(&(ev.vm, task)) {
+                if let Some(woke) = self.pending.remove(ev.vm, task) {
                     self.per_vcpu
-                        .entry((ev.vm, vcpu))
-                        .or_default()
+                        .get_or_default(ev.vm, vcpu)
                         .record(ev.at.since(woke));
                 }
             }
@@ -68,7 +67,7 @@ impl WakeLatency {
 
     /// The delay histogram of one vCPU, if it completed any wakeups.
     pub fn vcpu(&self, vm: u16, vcpu: u16) -> Option<&Histogram> {
-        self.per_vcpu.get(&(vm, vcpu))
+        self.per_vcpu.get(vm, vcpu)
     }
 
     /// Renders one line per vCPU alongside the schedstat dump: pair count,
@@ -77,7 +76,7 @@ impl WakeLatency {
         let mut out = String::new();
         let _ = writeln!(out, "# wake-to-run runqueue delay (ns)");
         let _ = writeln!(out, "# cpu<vm>/<vcpu> pairs mean p50 p95 p99 max");
-        for (&(vm, vcpu), h) in &self.per_vcpu {
+        for (vm, vcpu, h) in self.per_vcpu.iter() {
             let _ = writeln!(
                 out,
                 "cpu{vm}/{vcpu} {} {:.0} {} {} {} {}",

@@ -15,6 +15,8 @@
 //! * [`schedstat::Schedstat`] — Linux-style plain-text per-vCPU totals.
 //! * [`InvariantChecker`] — a streaming conservation-law checker; the tier-1
 //!   figure tests attach it and assert zero violations.
+//! * [`VmTable`] — the dense `(vm, id)`-indexed table that holds every
+//!   per-vCPU, per-task and per-VM piece of the collector's state.
 //!
 //! Wiring lives in the instrumented crates: `guestos` (switches, wakes,
 //! migrations, IPIs, charges), `hostsim` (resume/preempt/steal/throttle),
@@ -27,6 +29,7 @@ pub mod latency;
 pub mod ring;
 pub mod schedstat;
 pub mod sink;
+pub mod table;
 
 pub use check::{CheckReport, InvariantChecker, Violation, ViolationKind};
 pub use chrome::{chrome_trace, validate_json};
@@ -38,3 +41,4 @@ pub use latency::WakeLatency;
 pub use ring::RingBuffer;
 pub use schedstat::Schedstat;
 pub use sink::{Collector, SharedCollector, TraceSink};
+pub use table::VmTable;
