@@ -61,7 +61,7 @@ struct Claim {
     ptr: *mut HostSim,
     i: usize,
     until: SimTime,
-    sample_now_ns: Option<u64>,
+    sample_window_ns: Option<u64>,
     threads_per_host: u64,
 }
 
@@ -73,9 +73,10 @@ struct PoolState {
     /// Hosts claimed but not yet stepped to the barrier this round.
     remaining: usize,
     until: SimTime,
-    /// `Some(now_ns)` on epoch barriers: fold the utilization sample
-    /// into the host right after stepping, on the same worker.
-    sample_now_ns: Option<u64>,
+    /// `Some(window_ns)` on epoch barriers: fold the utilization sample
+    /// over the epoch's window into the host right after stepping, on
+    /// the same worker.
+    sample_window_ns: Option<u64>,
     threads_per_host: u64,
     /// A claim panicked this round; the coordinator re-raises once the
     /// round has fully drained (so no worker still borrows a host).
@@ -95,7 +96,7 @@ impl PoolState {
             ptr: self.hosts.0,
             i,
             until: self.until,
-            sample_now_ns: self.sample_now_ns,
+            sample_window_ns: self.sample_window_ns,
             threads_per_host: self.threads_per_host,
         })
     }
@@ -119,7 +120,7 @@ impl StepPool {
                 next: 0,
                 remaining: 0,
                 until: SimTime(0),
-                sample_now_ns: None,
+                sample_window_ns: None,
                 threads_per_host: 1,
                 panicked: false,
                 shutdown: false,
@@ -137,7 +138,7 @@ impl StepPool {
         // the pool mutex and the slice outlives the round.
         let host = unsafe { &mut *c.ptr.add(c.i) };
         let ok = panic::catch_unwind(AssertUnwindSafe(|| {
-            host.step_round(c.until, c.sample_now_ns, c.threads_per_host)
+            host.step_round(c.until, c.sample_window_ns, c.threads_per_host)
         }));
         let mut st = self.state.lock().unwrap();
         st.remaining -= 1;
@@ -170,14 +171,14 @@ impl StepPool {
 
     /// Runs one barrier round over `hosts`, stepping every host to
     /// `until` (and folding the epoch utilization sample when
-    /// `sample_now_ns` is set). The coordinator claims work from the same
+    /// `sample_window_ns` is set). The coordinator claims work from the same
     /// cursor as the pool — on small fleets it steps most hosts itself —
     /// and does not return until every host reached the barrier.
     pub(crate) fn run_round(
         &self,
         hosts: &mut [HostSim],
         until: SimTime,
-        sample_now_ns: Option<u64>,
+        sample_window_ns: Option<u64>,
         threads_per_host: u64,
     ) {
         if hosts.is_empty() {
@@ -191,7 +192,7 @@ impl StepPool {
             st.next = 0;
             st.remaining = hosts.len();
             st.until = until;
-            st.sample_now_ns = sample_now_ns;
+            st.sample_window_ns = sample_window_ns;
             st.threads_per_host = threads_per_host;
             self.start.notify_all();
         }

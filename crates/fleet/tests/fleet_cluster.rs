@@ -171,3 +171,46 @@ fn resizes_ride_along_cleanly() {
     let s = c.run();
     assert_eq!(s.violations, 0, "law broken: {:?}", s.first_law);
 }
+
+/// A horizon that is not a whole number of 50 ms epochs ends in a short
+/// epoch. Its utilization sample must be taken over that short window:
+/// divided by a full epoch, the 25 ms tail below reads about half of the
+/// hosts' steady utilization and drags `mean_util` down by 2.5%.
+#[test]
+fn partial_last_epoch_samples_over_its_own_window() {
+    let mut spec = FleetSpec::small(4, 4, 1);
+    spec.arrival_mean_ns = 5 * MS;
+    let run = |horizon_ns| {
+        let spec = FleetSpec {
+            horizon_ns,
+            ..spec.clone()
+        };
+        let mut c = Cluster::new(
+            spec,
+            GuestMode::Cfs,
+            policy_by_name("first-fit").unwrap(),
+            3,
+        );
+        let s = c.run();
+        let util: Vec<Vec<f64>> = c.host_util().iter().map(|u| u.to_vec()).collect();
+        (s.mean_util, util)
+    };
+    let (whole_mean, whole) = run(1_000 * MS);
+    let (tail_mean, tailed) = run(1_025 * MS);
+    let mut ratio = 0.0;
+    for (w, t) in whole.iter().zip(&tailed) {
+        // The 20 full epochs are the same run; only the tail sample is new.
+        assert_eq!(w.len(), 20);
+        assert_eq!(&t[..20], &w[..], "full epochs differ");
+        let steady = w[10..].iter().sum::<f64>() / 10.0;
+        ratio += t[20] / steady / whole.len() as f64;
+    }
+    assert!(
+        (0.75..1.33).contains(&ratio),
+        "tail samples average {ratio:.3} of steady utilization: {tailed:?}"
+    );
+    assert!(
+        (tail_mean - whole_mean).abs() < 0.01 * whole_mean,
+        "mean_util {tail_mean:.4} with a 25 ms tail vs {whole_mean:.4} without"
+    );
+}
