@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Offline CI gate: formatting, lints, the tier-1 build + test suite, the
-# golden smoke-suite output, serial-vs-parallel determinism gates,
-# randomized invariant sweeps, shrink/replay and supervision smokes, and the
-# benchmark harness's own tests. Everything here must pass without network
-# access, and a run leaves the working tree clean.
+# Offline CI gate: formatting and lints (workspace and benchmark harness),
+# the tier-1 build + test suite, the golden smoke-suite output,
+# serial-vs-parallel determinism gates, randomized invariant sweeps,
+# shrink/replay and supervision smokes, and the benchmark harness's own
+# tests. Everything here must pass without network access, and a run
+# leaves the working tree clean.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -12,6 +13,15 @@ cargo fmt --check
 
 echo "== cargo clippy (workspace, -D warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+# The benchmark harness is its own Cargo workspace, which the two
+# workspace-level steps above skip.
+echo "== cargo fmt --check (perfbench harness)"
+cargo fmt --check --manifest-path perfbench/harness/Cargo.toml
+
+echo "== cargo clippy (perfbench harness, -D warnings)"
+CARGO_TARGET_DIR=.bench_build cargo clippy --all-targets --offline \
+    --manifest-path perfbench/harness/Cargo.toml -- -D warnings
 
 echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
