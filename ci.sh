@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting and lints (workspace and benchmark harness),
-# the tier-1 build + test suite, the golden smoke-suite output,
-# serial-vs-parallel determinism gates, randomized invariant sweeps,
-# shrink/replay and supervision smokes, and the benchmark harness's own
-# tests. Everything here must pass without network access, and a run
-# leaves the working tree clean.
+# rustdoc links, the tier-1 build + test suite, the golden smoke-suite
+# output, serial-vs-parallel determinism gates, randomized invariant
+# sweeps, shrink/replay and supervision smokes, and the benchmark
+# harness's own tests. Everything here must pass without network access,
+# and a run leaves the working tree clean.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -14,7 +14,12 @@ cargo fmt --check
 echo "== cargo clippy (workspace, -D warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# The benchmark harness is its own Cargo workspace, which the two
+echo "== cargo doc (workspace, -D warnings)"
+# Broken or private intra-doc links fail here, so renaming an item that a
+# doc comment links to cannot go unnoticed.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
+# The benchmark harness is its own Cargo workspace, which the
 # workspace-level steps above skip.
 echo "== cargo fmt --check (perfbench harness)"
 cargo fmt --check --manifest-path perfbench/harness/Cargo.toml
@@ -81,14 +86,16 @@ for gate in "${gates[@]}"; do
 done
 
 echo "== randomized seed sweeps"
-# Fault-class, migration, attack-archetype and LLC-occupancy invariants on
-# a fresh seed each run. The seed is printed so a CI failure replays
-# locally with <VAR>=<seed> cargo test --release <target>.
+# Fault-class, migration, attack-archetype and LLC-occupancy invariants,
+# and byte-mutated input to every decoder, on a fresh seed each run. The
+# seed is printed so a CI failure replays locally with
+# <VAR>=<seed> cargo test --release <target>.
 sweeps=(
     "CHAOS_SEED|--test chaos invariants"
     "FLEET_CHAOS_SEED|-p vsched-fleet --test fleet_chaos"
     "ADVERSARY_SEED|--test adversary invariants"
     "VCACHE_SEED|-p vsched-hostsim --test llc_propcheck"
+    "HOSTILE_SEED|-p experiments --test hostile_input"
 )
 for sweep in "${sweeps[@]}"; do
     IFS='|' read -r var target <<< "$sweep"

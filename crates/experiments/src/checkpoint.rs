@@ -182,6 +182,11 @@ impl Checkpoint {
                 .and_then(|v| v.as_str())
                 .ok_or("job entry missing file")?
                 .to_string();
+            // Job outputs live in the checkpoint directory itself; a path
+            // would let a manifest replay any file as a job's output.
+            if Path::new(&file).file_name() != Some(file.as_ref()) {
+                return Err(format!("job entry file {file:?} is not a bare file name"));
+            }
             self.jobs.insert(
                 name,
                 JobEntry {
@@ -333,6 +338,25 @@ mod tests {
         fs::write(dir.join("fig03.out"), "tampered").unwrap();
         let (resumed, _) = Checkpoint::resume(&dir, key()).unwrap();
         assert_eq!(resumed.load("fig03"), None, "hash mismatch must not replay");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn job_file_outside_the_directory_is_rejected() {
+        let dir = tmpdir("escape");
+        let mut ck = Checkpoint::create(&dir, key()).unwrap();
+        ck.record("fig03", "output").unwrap();
+        // A matching size and hash outside the directory must not replay.
+        let outside = dir.with_extension("out");
+        fs::write(&outside, "output").unwrap();
+        let escape = format!("../{}", outside.file_name().unwrap().to_str().unwrap());
+        let manifest = fs::read_to_string(dir.join("MANIFEST.json")).unwrap();
+        let manifest = manifest.replace("\"fig03.out\"", &format!("{escape:?}"));
+        fs::write(dir.join("MANIFEST.json"), manifest).unwrap();
+        let (resumed, note) = Checkpoint::resume(&dir, key()).unwrap();
+        assert!(note.unwrap().contains("not a bare file name"));
+        assert_eq!(resumed.load("fig03"), None);
+        let _ = fs::remove_file(&outside);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -34,7 +34,6 @@ pub mod fig21;
 pub mod figure;
 pub mod fleet;
 pub mod fleet_chaos;
-pub mod oracle;
 pub mod profiles;
 pub mod replay;
 pub mod runner;

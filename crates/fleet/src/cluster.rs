@@ -9,7 +9,7 @@
 //! single-placement laws independently of the cluster's own bookkeeping.
 //!
 //! Hosts share no state *between* barriers, so [`Cluster::run`] shards
-//! the stepping itself across a scoped worker pool ([`crate::pstep`]):
+//! the stepping itself across a scoped worker pool (the private `pstep`):
 //! every epoch boundary and every placement event is a join barrier, and
 //! all cross-host decisions (admission, placement, SLO accounting,
 //! fleet-collector events) happen serially on the coordinator between

@@ -191,8 +191,10 @@ impl FleetTrace {
             Some(s) => s.to_string(),
             None => return err(1, "header missing string field \"profile\""),
         };
+        // The declared count is checked against the body below; it is
+        // input, so it never sizes an allocation.
         let declared = hu("records")? as usize;
-        let mut events = Vec::with_capacity(declared);
+        let mut events = Vec::new();
         for (idx, line) in lines {
             let lineno = idx + 1;
             if line.trim().is_empty() {
@@ -344,6 +346,14 @@ mod tests {
         let truncated = lines.join("\n");
         let e = FleetTrace::decode(&truncated).unwrap_err();
         assert!(e.msg.contains("declares 3 records"), "{e}");
+
+        // A header count no body could hold is an error, not an allocation.
+        let huge = text.replace("\"records\":3", &format!("\"records\":{}", u64::MAX));
+        let e = FleetTrace::decode(&huge).unwrap_err();
+        assert!(
+            e.msg.contains(&format!("declares {} records", u64::MAX)),
+            "{e}"
+        );
 
         // Bad header format tag.
         let bad_tag = text.replace(FORMAT_TAG, "other-format");

@@ -393,7 +393,6 @@ impl Kernel {
         };
         let d = &mut self.vcpus[v.0];
         d.rq.enqueue(t, vrt, w, is_idle, load);
-        d.rq.idle_since = None;
     }
 
     /// Removes a waiting task from its runqueue. Returns false if the task
@@ -539,14 +538,7 @@ impl Kernel {
                 debug_assert!(removed);
                 self.set_curr(plat, v, next);
             }
-            None => {
-                let now = plat.now();
-                let d = &mut self.vcpus[v.0];
-                if d.rq.idle_since.is_none() {
-                    d.rq.idle_since = Some(now);
-                }
-                plat.vcpu_idle(v);
-            }
+            None => plat.vcpu_idle(v),
         }
     }
 
@@ -867,15 +859,6 @@ impl Kernel {
             }
             TaskState::Sleeping => self.task_mut(t).state = TaskState::Blocked,
             TaskState::Blocked | TaskState::Dead => {}
-        }
-    }
-
-    /// How long vCPU `v` has had nothing to run, or `None` while busy.
-    pub fn idle_duration(&self, v: VcpuId, now: SimTime) -> Option<u64> {
-        if self.vcpu_is_idle(v) {
-            self.vcpus[v.0].rq.idle_since.map(|t| now.since(t))
-        } else {
-            None
         }
     }
 

@@ -5,7 +5,6 @@
 //! kernel separately (as in Linux, where `curr` is dequeued from the tree).
 
 use crate::task::TaskId;
-use simcore::SimTime;
 use std::collections::BTreeSet;
 
 /// A CFS runqueue for one vCPU.
@@ -29,17 +28,12 @@ pub struct CfsRq {
     pub nr_idle: usize,
     /// Number of queued normal tasks.
     pub nr_normal: usize,
-    /// When this vCPU last had nothing to run (None while busy).
-    pub idle_since: Option<SimTime>,
 }
 
 impl CfsRq {
     /// Creates an empty runqueue.
     pub fn new() -> Self {
-        Self {
-            idle_since: Some(SimTime::ZERO),
-            ..Self::default()
-        }
+        Self::default()
     }
 
     /// Number of waiting tasks.

@@ -14,6 +14,8 @@
 //! integers, floats, booleans, null. Not supported (rejected on parse):
 //! duplicate-key detection, full surrogate-pair decoding (lone `\uXXXX`
 //! escapes map to the replacement character outside the BMP pair path).
+//! Arrays and objects nest at most [`MAX_DEPTH`] levels deep, so hostile
+//! input fails with a [`JsonError`] rather than overflowing the stack.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -217,8 +219,10 @@ impl Json {
     /// garbage rejected).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -245,9 +249,17 @@ impl fmt::Display for JsonError {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Every schema in
+/// the workspace nests a handful of levels; the cap turns a hostile
+/// `[[[[…` into a [`JsonError`] instead of a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -288,8 +300,7 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => self.nested(),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -297,6 +308,21 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// An array or object, at most [`MAX_DEPTH`] levels deep.
+    fn nested(&mut self) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = if self.peek() == Some(b'{') {
+            self.object()
+        } else {
+            self.array()
+        };
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -376,10 +402,13 @@ impl<'a> Parser<'a> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("non-ascii \\u escape"))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            // Four hex digits exactly; `from_str_radix` would
+                            // also take a leading `+`.
+                            if !hex.iter().all(u8::is_ascii_hexdigit) {
+                                return Err(self.err("bad \\u escape"));
+                            }
+                            let hex = std::str::from_utf8(hex).expect("hex digits are ASCII");
+                            let cp = u32::from_str_radix(hex, 16).expect("four hex digits fit u32");
                             s.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
                             self.pos += 4;
                         }
@@ -388,11 +417,12 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let tail = std::str::from_utf8(rest).map_err(|_| self.err("bad utf-8"))?;
-                    let c = tail.chars().next().unwrap();
+                    // Consume one UTF-8 scalar. Every token before it is
+                    // ASCII or a whole scalar, so `pos` is a char boundary.
+                    let c = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("peek saw a byte");
                     s.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -478,7 +508,17 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        for bad in ["", "{", "[1,", "\"abc", "{\"a\" 1}", "1 2", "nul"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "\"abc",
+            "{\"a\" 1}",
+            "1 2",
+            "nul",
+            "\"\\u+041\"",
+            "\"\\u00\"",
+        ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
     }
@@ -490,6 +530,24 @@ mod tests {
         assert_eq!(arr[0], Json::Float(1.5));
         assert_eq!(arr[1], Json::Int(-2));
         assert_eq!(arr[2], Json::Uint(3));
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
+        // Unclosed, and far past any stack: an error, not an overflow.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn long_multibyte_strings_round_trip() {
+        let body = "é".repeat(100_000);
+        let v = Json::parse(&format!("\"{body}\"")).unwrap();
+        assert_eq!(v.as_str(), Some(body.as_str()));
     }
 
     #[test]

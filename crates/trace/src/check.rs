@@ -109,8 +109,9 @@ pub enum ViolationKind {
 }
 
 /// How far above the best published LLC-domain pressure a cache-aware
-/// pick may land and still count as justified. Must match the bvs
-/// preference margin (`Tunables::vcache_pick_margin`).
+/// pick may land and still count as justified. bvs reads this as its
+/// preference margin, so the pick and the law that audits it share one
+/// definition.
 pub const CACHE_PICK_MARGIN: f64 = 0.15;
 
 impl ViolationKind {
@@ -168,7 +169,7 @@ pub struct Violation {
     pub event: TraceEvent,
     /// Human-readable specifics (expected vs observed).
     pub detail: String,
-    /// Up to [`CONTEXT`] events preceding `event`, oldest first.
+    /// Up to eight events preceding `event`, oldest first.
     pub context: Vec<TraceEvent>,
 }
 

@@ -44,7 +44,6 @@ pub use error::ProbeError;
 pub use ivh::Ivh;
 pub use resilience::{ResilAction, ResilCfg, Resilience};
 pub use rwc::Rwc;
-pub use tunables::Tunables;
 pub use vact::{ActState, Vact};
 pub use vcache::Vcache;
 pub use vcap::Vcap;
@@ -105,8 +104,6 @@ pub struct VschedConfig {
     /// dimension, and every pre-vcache configuration must stay
     /// byte-identical.
     pub vcache: bool,
-    /// Tunables (Table 1 defaults).
-    pub tunables: Tunables,
 }
 
 impl VschedConfig {
@@ -121,7 +118,6 @@ impl VschedConfig {
             resilience: None,
             hardened_probes: false,
             vcache: false,
-            tunables: Tunables::paper(),
         }
     }
 
@@ -206,9 +202,9 @@ pub struct Vsched {
 
 impl Vsched {
     fn new(nr_vcpus: usize, tick_ns: u64, cfg: VschedConfig, now: SimTime) -> Self {
-        let mut vcap = Vcap::new(nr_vcpus, &cfg.tunables);
+        let mut vcap = Vcap::new(nr_vcpus);
         vcap.hardened = cfg.hardened_probes;
-        let mut vtop = Vtop::new(nr_vcpus, cfg.tunables.clone());
+        let mut vtop = Vtop::new(nr_vcpus);
         vtop.hardened = cfg.hardened_probes;
         let mut resil = cfg.resilience.clone().map(|rc| Resilience::new(rc, now));
         if let Some(r) = resil.as_mut() {
@@ -216,9 +212,9 @@ impl Vsched {
         }
         Self {
             vcap,
-            vact: Vact::new(nr_vcpus, tick_ns, &cfg.tunables, now),
+            vact: Vact::new(nr_vcpus, tick_ns, now),
             vtop,
-            vcache: Vcache::new(nr_vcpus, &cfg.tunables),
+            vcache: Vcache::new(nr_vcpus),
             ivh: Ivh::new(nr_vcpus, cfg.ivh_prewake),
             rwc: Rwc::new(nr_vcpus),
             bvs_stats: BvsStats::default(),
@@ -337,7 +333,7 @@ impl Vsched {
                     plat.set_timer(TOKEN_VCAP_DEMOTE, now.after(15_000_000));
                     plat.set_timer(
                         TOKEN_VCAP_CLOSE,
-                        now.after(self.cfg.tunables.vcap_sampling_period_ns),
+                        now.after(tunables::VCAP_SAMPLING_PERIOD_NS),
                     );
                 }
             }
@@ -356,7 +352,7 @@ impl Vsched {
                     self.vcache.open_window();
                     plat.set_timer(
                         TOKEN_VCACHE_SAMPLE,
-                        now.after(self.cfg.tunables.vcache_sample_gap_ns),
+                        now.after(tunables::VCACHE_SAMPLE_GAP_NS),
                     );
                 }
             }
@@ -387,7 +383,6 @@ impl SchedHooks for Vsched {
             &self.vact,
             &self.vcap,
             self.cfg.vcache.then_some(&self.vcache),
-            &self.cfg.tunables,
             &mut self.bvs_stats,
             task,
             self.cfg.bvs_state_check,
@@ -406,15 +401,13 @@ impl SchedHooks for Vsched {
         let steal = plat.steal_ns(v);
         self.vact.on_tick(v, plat.now(), steal);
         if self.cfg.ivh && !self.degraded() {
-            self.ivh
-                .on_tick(kern, plat, &self.vact, &self.cfg.tunables, v);
+            self.ivh.on_tick(kern, plat, &self.vact, v);
         }
     }
 
     fn on_vcpu_start(&mut self, kern: &mut Kernel, plat: &mut dyn Platform, v: VcpuId) {
         if self.cfg.ivh {
-            self.ivh
-                .on_vcpu_start(kern, plat, &self.vact, &self.cfg.tunables, v);
+            self.ivh.on_vcpu_start(kern, plat, &self.vact, v);
         }
         if self.vtop.probing() {
             match self.vtop.update_sessions(kern, plat) {
@@ -447,12 +440,9 @@ impl SchedHooks for Vsched {
                 plat.set_timer(TOKEN_VCAP_DEMOTE, now.after(15_000_000));
                 plat.set_timer(
                     TOKEN_VCAP_CLOSE,
-                    now.after(self.cfg.tunables.vcap_sampling_period_ns),
+                    now.after(tunables::VCAP_SAMPLING_PERIOD_NS),
                 );
-                plat.set_timer(
-                    TOKEN_VCAP_OPEN,
-                    now.after(self.cfg.tunables.vcap_light_every_ns),
-                );
+                plat.set_timer(TOKEN_VCAP_OPEN, now.after(tunables::VCAP_LIGHT_EVERY_NS));
                 if self.vcap.hardened {
                     // The hardening baseline: one canary micro-probe per
                     // inter-window gap, at a jittered offset the adversary
@@ -498,8 +488,7 @@ impl SchedHooks for Vsched {
                 // Degraded: the capacity estimates feeding straggler
                 // detection are untrusted, so rwc relaxation stays capped.
                 if self.cfg.rwc && !self.degraded() {
-                    self.rwc
-                        .update_stragglers(kern, plat, &self.vcap, &self.cfg.tunables);
+                    self.rwc.update_stragglers(kern, plat, &self.vcap);
                 }
             }
             TOKEN_VTOP_PERIOD => {
@@ -520,10 +509,7 @@ impl SchedHooks for Vsched {
                     }
                 }
                 let now = plat.now();
-                plat.set_timer(
-                    TOKEN_VTOP_PERIOD,
-                    now.after(self.cfg.tunables.vtop_period_ns),
-                );
+                plat.set_timer(TOKEN_VTOP_PERIOD, now.after(tunables::VTOP_PERIOD_NS));
             }
             TOKEN_VTOP_CHECK => {
                 self.vtop_check_armed = false;
@@ -547,19 +533,16 @@ impl SchedHooks for Vsched {
                     self.vcache.open_window();
                     plat.set_timer(
                         TOKEN_VCACHE_SAMPLE,
-                        now.after(self.cfg.tunables.vcache_sample_gap_ns),
+                        now.after(tunables::VCACHE_SAMPLE_GAP_NS),
                     );
                 }
-                plat.set_timer(
-                    TOKEN_VCACHE_PERIOD,
-                    now.after(self.cfg.tunables.vcache_period_ns),
-                );
+                plat.set_timer(TOKEN_VCACHE_PERIOD, now.after(tunables::VCACHE_PERIOD_NS));
             }
             TOKEN_VCACHE_SAMPLE if self.cfg.vcache && self.vcache.window_open() => {
                 if self.vcache.sample_step(kern, plat) {
                     plat.set_timer(
                         TOKEN_VCACHE_SAMPLE,
-                        plat.now().after(self.cfg.tunables.vcache_sample_gap_ns),
+                        plat.now().after(tunables::VCACHE_SAMPLE_GAP_NS),
                     );
                 } else {
                     match self.vcache.close_window(kern, plat) {

@@ -403,7 +403,7 @@ mod tests {
         assert_eq!(r.degrade_on_error(&mut k, t(110), err), ResilAction::None);
         // Steady agreeing windows rebuild confidence past the exit bar.
         let mut now = 200;
-        let vcap = Vcap::new(2, &crate::tunables::Tunables::paper());
+        let vcap = Vcap::new(2);
         let mut exited = false;
         for _ in 0..16 {
             r.observe_vcap(t(now), &vcap);
@@ -421,7 +421,7 @@ mod tests {
     fn surprise_erodes_confidence_until_entry() {
         let mut r = Resilience::new(ResilCfg::default(), t(0));
         let mut k = kern();
-        let mut vcap = Vcap::new(2, &crate::tunables::Tunables::paper());
+        let mut vcap = Vcap::new(2);
         let mut entered = false;
         for i in 0..12u64 {
             // Mean capacity oscillates wildly window over window.
@@ -470,7 +470,7 @@ mod tests {
         // probers fresh and walk far past staleness.
         let mut r = Resilience::new(cfg.clone(), t(0));
         let mut k = kern();
-        let vcap = Vcap::new(2, &crate::tunables::Tunables::paper());
+        let vcap = Vcap::new(2);
         let mut now = SimTime::from_ms(10);
         for _ in 0..200 {
             r.observe_vcap(now, &vcap);
@@ -503,7 +503,7 @@ mod tests {
         let mut r = Resilience::new(ResilCfg::default(), t(0));
         r.set_vcache_enabled(true);
         let mut k = kern();
-        let mut vc = crate::vcache::Vcache::new(2, &crate::tunables::Tunables::paper());
+        let mut vc = crate::vcache::Vcache::new(2);
         let mut entered = false;
         for i in 0..12u64 {
             vc.pressure[0] = Some(if i % 2 == 0 { 0.95 } else { 0.05 });

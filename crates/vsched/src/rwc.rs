@@ -17,7 +17,7 @@
 //! evacuated through the regular CFS selection path.
 
 use crate::error::ProbeError;
-use crate::tunables::Tunables;
+use crate::tunables::RWC_STRAGGLER_FACTOR;
 use crate::vcap::Vcap;
 use guestos::{Kernel, MigrateKind, Platform, VcpuId};
 use trace::ProbeKind;
@@ -43,14 +43,8 @@ impl Rwc {
 
     /// Re-evaluates straggler status from the latest vcap estimates.
     /// Call after every vcap sampling window.
-    pub fn update_stragglers(
-        &mut self,
-        kern: &mut Kernel,
-        plat: &mut dyn Platform,
-        vcap: &Vcap,
-        tun: &Tunables,
-    ) {
-        let threshold = tun.rwc_straggler_factor * vcap.mean_cap;
+    pub fn update_stragglers(&mut self, kern: &mut Kernel, plat: &mut dyn Platform, vcap: &Vcap) {
+        let threshold = RWC_STRAGGLER_FACTOR * vcap.mean_cap;
         for v in 0..self.nr_vcpus {
             if self.banned[v] {
                 continue;

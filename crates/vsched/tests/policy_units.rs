@@ -5,7 +5,7 @@
 use guestos::{CommDistance, GuestConfig, Kernel, Platform, RunDelta, SpawnSpec, TaskId, VcpuId};
 use simcore::time::MS;
 use simcore::SimTime;
-use vsched::{bvs, BvsStats, Ivh, Rwc, Tunables, Vact, Vcap};
+use vsched::{bvs, BvsStats, Ivh, Rwc, Vact, Vcap};
 
 /// A minimal always-active platform.
 struct MockPlat {
@@ -58,13 +58,12 @@ impl Platform for MockPlat {
     fn set_timer(&mut self, _token: u64, _at: SimTime) {}
 }
 
-fn setup(nr: usize) -> (Kernel, MockPlat, Vact, Vcap, Tunables) {
-    let tun = Tunables::paper();
+fn setup(nr: usize) -> (Kernel, MockPlat, Vact, Vcap) {
     let kern = Kernel::new(GuestConfig::new(nr), SimTime::ZERO);
     let plat = MockPlat::new(nr);
-    let vact = Vact::new(nr, 1_000_000, &tun, SimTime::ZERO);
-    let vcap = Vcap::new(nr, &tun);
-    (kern, plat, vact, vcap, tun)
+    let vact = Vact::new(nr, 1_000_000, SimTime::ZERO);
+    let vcap = Vcap::new(nr);
+    (kern, plat, vact, vcap)
 }
 
 /// Feeds vact ticks so vCPU `v` publishes the given latency.
@@ -85,30 +84,30 @@ fn teach_latency(vact: &mut Vact, kern: &Kernel, v: usize, latency: u64) {
 
 #[test]
 fn bvs_skips_non_latency_sensitive_tasks() {
-    let (mut kern, mut plat, vact, vcap, tun) = setup(4);
+    let (mut kern, mut plat, vact, vcap) = setup(4);
     let t = kern.spawn(SimTime::ZERO, SpawnSpec::normal(4));
     let mut stats = BvsStats::default();
     let pick = bvs::select(
-        &mut kern, &mut plat, &vact, &vcap, None, &tun, &mut stats, t, true,
+        &mut kern, &mut plat, &vact, &vcap, None, &mut stats, t, true,
     );
     assert_eq!(pick, None, "plain tasks fall through to CFS");
 }
 
 #[test]
 fn bvs_skips_large_tasks() {
-    let (mut kern, mut plat, vact, vcap, tun) = setup(4);
+    let (mut kern, mut plat, vact, vcap) = setup(4);
     let t = kern.spawn(SimTime::ZERO, SpawnSpec::normal(4).latency_sensitive());
     // Fresh tasks start with PELT at half charge (512 > small threshold).
     let mut stats = BvsStats::default();
     let pick = bvs::select(
-        &mut kern, &mut plat, &vact, &vcap, None, &tun, &mut stats, t, true,
+        &mut kern, &mut plat, &vact, &vcap, None, &mut stats, t, true,
     );
     assert_eq!(pick, None, "large tasks are not bvs material");
 }
 
 #[test]
 fn bvs_prefers_low_latency_idle_vcpu() {
-    let (mut kern, mut plat, mut vact, vcap, tun) = setup(4);
+    let (mut kern, mut plat, mut vact, vcap) = setup(4);
     // vCPUs 0,1 high latency; 2,3 low latency.
     teach_latency(&mut vact, &kern, 0, 8 * MS);
     teach_latency(&mut vact, &kern, 1, 8 * MS);
@@ -122,7 +121,7 @@ fn bvs_prefers_low_latency_idle_vcpu() {
     plat.now = SimTime::from_secs(1);
     let mut stats = BvsStats::default();
     let pick = bvs::select(
-        &mut kern, &mut plat, &vact, &vcap, None, &tun, &mut stats, t, true,
+        &mut kern, &mut plat, &vact, &vcap, None, &mut stats, t, true,
     )
     .expect("bvs places the task");
     assert!(
@@ -134,7 +133,7 @@ fn bvs_prefers_low_latency_idle_vcpu() {
 
 #[test]
 fn rwc_ban_and_recovery_roundtrip() {
-    let (mut kern, mut plat, _vact, _vcap, _tun) = setup(4);
+    let (mut kern, mut plat, _vact, _vcap) = setup(4);
     let mut rwc = Rwc::new(4);
     // Stacked group {2,3}: keep 2, ban 3.
     let banned = rwc
@@ -152,7 +151,7 @@ fn rwc_ban_and_recovery_roundtrip() {
 
 #[test]
 fn rwc_straggler_restriction_tracks_capacity() {
-    let (mut kern, mut plat, _vact, mut vcap, tun) = setup(4);
+    let (mut kern, mut plat, _vact, mut vcap) = setup(4);
     let mut rwc = Rwc::new(4);
     // Fake capacities: vCPU 3 at 2% of the mean.
     for v in 0..3 {
@@ -160,7 +159,7 @@ fn rwc_straggler_restriction_tracks_capacity() {
     }
     vcap.cap[3].update(20.0);
     vcap.mean_cap = 755.0;
-    rwc.update_stragglers(&mut kern, &mut plat, &vcap, &tun);
+    rwc.update_stragglers(&mut kern, &mut plat, &vcap);
     assert!(rwc.stragglers[3]);
     assert!(
         !kern.cgroup.normal.contains(3),
@@ -171,14 +170,14 @@ fn rwc_straggler_restriction_tracks_capacity() {
     for _ in 0..8 {
         vcap.cap[3].update(900.0);
     }
-    rwc.update_stragglers(&mut kern, &mut plat, &vcap, &tun);
+    rwc.update_stragglers(&mut kern, &mut plat, &vcap);
     assert!(!rwc.stragglers[3]);
     assert!(kern.cgroup.normal.contains(3));
 }
 
 #[test]
 fn rwc_evacuates_tasks_from_banned_vcpu() {
-    let (mut kern, mut plat, _vact, _vcap, _tun) = setup(4);
+    let (mut kern, mut plat, _vact, _vcap) = setup(4);
     // Put a running task on vCPU 3.
     let t = kern.spawn(SimTime::ZERO, SpawnSpec::normal(4));
     kern.wake_to(&mut plat, t, VcpuId(3), None);
@@ -194,7 +193,7 @@ fn rwc_evacuates_tasks_from_banned_vcpu() {
 
 #[test]
 fn ivh_abandons_stale_pull_requests() {
-    let (mut kern, mut plat, mut vact, _vcap, tun) = setup(2);
+    let (mut kern, mut plat, mut vact, _vcap) = setup(2);
     let mut ivh = Ivh::new(2, true);
     // A CPU-hog on vCPU 0 with known inactivity; vCPU 1 idle.
     teach_latency(&mut vact, &kern, 0, 5 * MS);
@@ -209,24 +208,24 @@ fn ivh_abandons_stale_pull_requests() {
     // considers "about to go inactive". Easiest: call on_vcpu_start with a
     // stale pending — simulate by ticking first.
     vact.on_tick(VcpuId(0), plat.now, 0);
-    ivh.on_tick(&mut kern, &mut plat, &vact, &tun, VcpuId(0));
+    ivh.on_tick(&mut kern, &mut plat, &vact, VcpuId(0));
     // Whatever ivh decided, a later vcpu-start on vCPU 1 with the source
     // gone must not panic and must not migrate a dead task.
     kern.kill_task(&mut plat, t);
-    ivh.on_vcpu_start(&mut kern, &mut plat, &vact, &tun, VcpuId(1));
+    ivh.on_vcpu_start(&mut kern, &mut plat, &vact, VcpuId(1));
     assert!(kern.vcpus[1].curr.is_none());
 }
 
 #[test]
 fn vcap_capacity_defaults_to_full_before_probing() {
-    let (_kern, _plat, _vact, vcap, _tun) = setup(2);
+    let (_kern, _plat, _vact, vcap) = setup(2);
     assert_eq!(vcap.capacity(VcpuId(0)), 1024.0);
     assert_eq!(vcap.median_cap, 1024.0);
 }
 
 #[test]
 fn vact_median_uses_lower_middle() {
-    let (kern, _plat, mut vact, _vcap, _tun) = setup(4);
+    let (kern, _plat, mut vact, _vcap) = setup(4);
     teach_latency(&mut vact, &kern, 0, MS);
     teach_latency(&mut vact, &kern, 1, MS);
     teach_latency(&mut vact, &kern, 2, 9 * MS);
@@ -237,7 +236,7 @@ fn vact_median_uses_lower_middle() {
 
 #[test]
 fn bvs_first_fit_starts_from_prev_vcpu() {
-    let (mut kern, mut plat, mut vact, vcap, tun) = setup(4);
+    let (mut kern, mut plat, mut vact, vcap) = setup(4);
     for v in 0..4 {
         teach_latency(&mut vact, &kern, v, MS);
     }
@@ -249,7 +248,7 @@ fn bvs_first_fit_starts_from_prev_vcpu() {
     plat.now = SimTime::from_secs(1);
     let mut stats = BvsStats::default();
     let pick = bvs::select(
-        &mut kern, &mut plat, &vact, &vcap, None, &tun, &mut stats, t, true,
+        &mut kern, &mut plat, &vact, &vcap, None, &mut stats, t, true,
     )
     .expect("all vCPUs acceptable");
     assert_eq!(pick, VcpuId(2), "first fit begins at the previous vCPU");
@@ -257,7 +256,7 @@ fn bvs_first_fit_starts_from_prev_vcpu() {
 
 #[test]
 fn bvs_capacity_gate_skips_weak_vcpus() {
-    let (mut kern, mut plat, mut vact, mut vcap, tun) = setup(4);
+    let (mut kern, mut plat, mut vact, mut vcap) = setup(4);
     for v in 0..4 {
         teach_latency(&mut vact, &kern, v, MS);
     }
@@ -275,7 +274,7 @@ fn bvs_capacity_gate_skips_weak_vcpus() {
     plat.now = SimTime::from_secs(1);
     let mut stats = BvsStats::default();
     let pick = bvs::select(
-        &mut kern, &mut plat, &vact, &vcap, None, &tun, &mut stats, t, true,
+        &mut kern, &mut plat, &vact, &vcap, None, &mut stats, t, true,
     )
     .expect("strong vCPUs exist");
     assert!(
@@ -286,7 +285,7 @@ fn bvs_capacity_gate_skips_weak_vcpus() {
 
 #[test]
 fn bvs_respects_cgroup_bans() {
-    let (mut kern, mut plat, mut vact, vcap, tun) = setup(4);
+    let (mut kern, mut plat, mut vact, vcap) = setup(4);
     for v in 0..4 {
         teach_latency(&mut vact, &kern, v, MS);
     }
@@ -301,7 +300,7 @@ fn bvs_respects_cgroup_bans() {
     plat.now = SimTime::from_secs(1);
     let mut stats = BvsStats::default();
     let pick = bvs::select(
-        &mut kern, &mut plat, &vact, &vcap, None, &tun, &mut stats, t, true,
+        &mut kern, &mut plat, &vact, &vcap, None, &mut stats, t, true,
     )
     .expect("one placeable vCPU remains");
     assert_eq!(pick, VcpuId(3), "bvs honours the rwc cgroup state");
@@ -309,7 +308,7 @@ fn bvs_respects_cgroup_bans() {
 
 #[test]
 fn bvs_without_state_check_uses_latency_alone() {
-    let (mut kern, mut plat, mut vact, vcap, tun) = setup(2);
+    let (mut kern, mut plat, mut vact, vcap) = setup(2);
     teach_latency(&mut vact, &kern, 0, 8 * MS);
     teach_latency(&mut vact, &kern, 1, MS);
     // Occupy vCPU 1 with a best-effort task so the sched_idle branch runs.
@@ -328,7 +327,7 @@ fn bvs_without_state_check_uses_latency_alone() {
     plat.now = SimTime::from_secs(1);
     let mut stats = BvsStats::default();
     let pick = bvs::select(
-        &mut kern, &mut plat, &vact, &vcap, None, &tun, &mut stats, t, false,
+        &mut kern, &mut plat, &vact, &vcap, None, &mut stats, t, false,
     );
     assert_eq!(pick, Some(VcpuId(1)), "latency-only ablation places here");
     assert_eq!(stats.blue_path, 0, "no state check, no blue path");
@@ -336,7 +335,7 @@ fn bvs_without_state_check_uses_latency_alone() {
 
 #[test]
 fn rwc_keeps_lowest_vcpu_of_each_stack() {
-    let (mut kern, mut plat, _vact, _vcap, _tun) = setup(6);
+    let (mut kern, mut plat, _vact, _vcap) = setup(6);
     let mut rwc = Rwc::new(6);
     let banned = rwc
         .update_stacking(&mut kern, &mut plat, &[vec![0, 1], vec![4, 2, 5]])
@@ -352,7 +351,7 @@ fn rwc_keeps_lowest_vcpu_of_each_stack() {
 
 #[test]
 fn rwc_unban_restores_straggler_restriction() {
-    let (mut kern, mut plat, _vact, mut vcap, tun) = setup(4);
+    let (mut kern, mut plat, _vact, mut vcap) = setup(4);
     let mut rwc = Rwc::new(4);
     // vCPU 3 is a straggler...
     for v in 0..3 {
@@ -360,7 +359,7 @@ fn rwc_unban_restores_straggler_restriction() {
     }
     vcap.cap[3].update(20.0);
     vcap.mean_cap = 755.0;
-    rwc.update_stragglers(&mut kern, &mut plat, &vcap, &tun);
+    rwc.update_stragglers(&mut kern, &mut plat, &vcap);
     assert!(rwc.stragglers[3]);
     // ...then also gets stacked: the full ban wins.
     rwc.update_stacking(&mut kern, &mut plat, &[vec![2, 3]])
@@ -375,7 +374,7 @@ fn rwc_unban_restores_straggler_restriction() {
 
 #[test]
 fn rwc_straggler_updates_skip_banned_vcpus() {
-    let (mut kern, mut plat, _vact, mut vcap, tun) = setup(4);
+    let (mut kern, mut plat, _vact, mut vcap) = setup(4);
     let mut rwc = Rwc::new(4);
     rwc.update_stacking(&mut kern, &mut plat, &[vec![2, 3]])
         .unwrap();
@@ -383,7 +382,7 @@ fn rwc_straggler_updates_skip_banned_vcpus() {
     // reclassified (vcap's probers are off it, the estimate is stale).
     vcap.cap[3].update(1.0);
     vcap.mean_cap = 800.0;
-    rwc.update_stragglers(&mut kern, &mut plat, &vcap, &tun);
+    rwc.update_stragglers(&mut kern, &mut plat, &vcap);
     assert!(!rwc.stragglers[3], "banned vCPUs are not classified");
     assert!(!kern.cgroup.any.contains(3), "ban stands");
 }
